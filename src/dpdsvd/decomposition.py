@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankTooLarge
-from .rank1 import Rank1Fit, SolverOptions, _check_input, _solve
+from .rank1 import SolverOptions, _check_input, _layer_fit, _solve
 
 
 @dataclass
@@ -41,7 +41,8 @@ def fit_svd(X, rank, opts=None):
     opts : SolverOptions, default SolverOptions()
 
     Raises RankTooLarge when rank exceeds min(n, p). Errors raised while
-    fitting layer k are re-raised with a "layer k:" prefix.
+    fitting layer k are re-raised with a "layer k:" prefix; a layer that
+    stops at max_iter before converging warns (RuntimeWarning).
     """
     X = _check_input(X)
     n, p = X.shape
@@ -53,10 +54,10 @@ def fit_svd(X, rank, opts=None):
     if opts is None:
         opts = SolverOptions()
     E = X.copy()
-    us, vs, lams, s2s, diags = [], [], [], [], []
+    diags = []
     for k in range(rank):
-        ortho_u = np.column_stack(us) if us else None
-        ortho_v = np.column_stack(vs) if vs else None
+        ortho_u = np.column_stack([d.u for d in diags]) if diags else None
+        ortho_v = np.column_stack([d.v for d in diags]) if diags else None
         # constrained layers stay Newton-polished only in the least squares
         # case, where the projected fixpoint and the constrained stationary
         # point coincide; the first (free) layer is always polished
@@ -65,16 +66,14 @@ def fit_svd(X, rank, opts=None):
             f = _solve(E, opts, ortho_u, ortho_v, polish=do_polish)
         except (FloatingPointError, ValueError) as exc:
             raise type(exc)(f"layer {k}: {exc}") from exc
-        us.append(f["u"])
-        vs.append(f["v"])
-        lams.append(f["lam"])
-        s2s.append(f["s2"])
-        diags.append(Rank1Fit(lambda_=f["lam"], u=f["u"], v=f["v"],
-                              sigma2=f["s2"], iterations=f["it"],
-                              converged=f["conv"], trace=f["trace"]))
-        E = E - f["lam"] * np.outer(f["u"], f["v"])
-    return RobustSvd(rank=rank, lambdas=np.array(lams), U=np.column_stack(us),
-                     V=np.column_stack(vs), sigma2s=np.array(s2s),
+        fit = _layer_fit(f, k)
+        diags.append(fit)
+        E = E - fit.lambda_ * np.outer(fit.u, fit.v)
+    return RobustSvd(rank=rank,
+                     lambdas=np.array([d.lambda_ for d in diags]),
+                     U=np.column_stack([d.u for d in diags]),
+                     V=np.column_stack([d.v for d in diags]),
+                     sigma2s=np.array([d.sigma2 for d in diags]),
                      diagnostics=diags)
 
 

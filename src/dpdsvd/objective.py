@@ -76,6 +76,16 @@ def h_value(e, sigma2, alpha):
                          * (c1 - c2 * weights(e, sigma2, alpha))))
 
 
+def _fit_state(fit):
+    """(lambda, u, v, sigma2) of a Rank1Fit or of a 4-tuple, as two floats
+    and two float arrays."""
+    if hasattr(fit, "lambda_"):
+        fit = (fit.lambda_, fit.u, fit.v, fit.sigma2)
+    lam, u, v, s2 = fit
+    return (float(lam), np.asarray(u, dtype=float),
+            np.asarray(v, dtype=float), float(s2))
+
+
 @dataclass
 class ObjectiveValue:
     """Objective h together with its per-cell terms (h = per_cell.mean())."""
@@ -100,13 +110,9 @@ def objective(X, fit, alpha):
     """
     al = check_alpha(alpha)
     X = np.asarray(X, dtype=float)
-    if hasattr(fit, "lambda_"):
-        lam, u, v, s2 = fit.lambda_, fit.u, fit.v, fit.sigma2
-    else:
-        lam, u, v, s2 = fit
-    s2 = float(s2)
+    lam, u, v, s2 = _fit_state(fit)
     if s2 <= 0.0:
         raise ValueError("sigma2 must be positive")
-    ab = lam * np.outer(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    ab = lam * np.outer(u, v)
     per = v_cell(X, ab, 1.0, s2, al)
     return ObjectiveValue(h=float(np.mean(per)), per_cell=per)

@@ -4,23 +4,27 @@ The estimator minimizes the density power divergence objective h (see
 objective.py) over (lambda, u, v, sigma2) with unit-norm u, v. Each outer
 iteration runs a row regression for u, a column regression for v (both
 backtracked so h never increases), and a self-consistent scale update.
+The column regression is the row regression of the transposed problem.
 After a warm-up the iteration is accelerated by squared extrapolation of
-the fixed-point map, and every accelerated state is re-checked against h.
+the fixed-point map (SQUAREM), and every accelerated state is re-checked
+against h.
 
 Plain alternating descent stalls inside a float-flat region around the
 minimizer (step-to-step h differences underflow double precision long
 before the parameters agree to 1e-10 across equivalent problem instances),
 so converged fits are polished by a bordered Newton method with analytic
-derivatives; the polish lands on the exact stationary point at float
+derivatives, each step solved by Schur elimination of the diagonal row
+block; the polish lands on the exact stationary point at float
 resolution, which makes independently computed fits of scaled or permuted
 data agree to machine precision.
 """
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateWeights, NonFiniteInput
-from .objective import check_alpha, h_value, weights
+from .objective import _fit_state, check_alpha, h_value, weights
 
 PLAIN_FIRST = 10       # plain cycles before extrapolation kicks in
 SIG_CAP = 0.5          # sigma^2 may shrink at most 2x per outer iteration
@@ -71,23 +75,31 @@ class SolverOptions:
         self.max_iter = int(self.max_iter)
 
 
-def _as_init_tuple(init):
-    if isinstance(init, Rank1Fit):
-        return (float(init.lambda_), np.asarray(init.u, dtype=float),
-                np.asarray(init.v, dtype=float), float(init.sigma2))
-    lam, u, v, s2 = init
-    return (float(lam), np.asarray(u, dtype=float),
-            np.asarray(v, dtype=float), float(s2))
+def _project(w, ortho):
+    """w minus its part in the span of ortho's orthonormal columns.
+
+    ortho is None for an unconstrained (first) layer.
+    """
+    if ortho is None:
+        return w
+    return w - ortho @ (ortho.T @ w)
 
 
 def _project_unit(w, ortho, what):
-    if ortho is not None and ortho.shape[1]:
-        w = w - ortho @ (ortho.T @ w)
-        nw = np.linalg.norm(w)
-        if nw <= 1e-12:
-            raise FloatingPointError(f"degenerate {what} direction")
-        w = w / nw
-    return w
+    if ortho is None:
+        return w
+    w = _project(w, ortho)
+    nw = np.linalg.norm(w)
+    if nw <= 1e-12:
+        raise FloatingPointError(f"degenerate {what} direction")
+    return w / nw
+
+
+def _flip_sign(u, v):
+    """Sign convention: the largest-|u| entry is positive."""
+    if u[np.argmax(np.abs(u))] < 0:
+        return -u, -v
+    return u, v
 
 
 def _orient(u, v, M):
@@ -107,38 +119,37 @@ def _residual_scale2(X, lam, u, v, eps):
     return max((1.4826 * float(np.median(np.abs(e)))) ** 2, eps)
 
 
-def _screened_init(X, ortho_u, ortho_v, eps, k=SCREEN_K):
-    """Top SVD pair of the data with gross cells zeroed out first."""
-    s = 1.4826 * float(np.median(np.abs(X)))
-    if s <= 0:
-        s = float(np.mean(np.abs(X))) or 1.0
-    Xs = np.where(np.abs(X) <= k * s, X, 0.0)
-    if not np.any(Xs):
-        Xs = X
-    Uc, _, Vct = np.linalg.svd(Xs, full_matrices=False)
-    u = _project_unit(Uc[:, 0], ortho_u, "row")
-    v = _project_unit(Vct[0], ortho_v, "column")
-    u, v, d = _orient(u, v, Xs)
-    lam = d if d > 0 else np.sqrt(eps)
-    return lam, u, v, _residual_scale2(X, lam, u, v, eps)
+def _init(X, policy, eps, seed=None, ortho_u=None, ortho_v=None):
+    """Starting state (lambda, u, v, sigma2) of an init policy.
 
-
-def _classical_init(X, ortho_u, ortho_v, eps):
-    Uc, _, Vct = np.linalg.svd(X, full_matrices=False)
-    u = _project_unit(Uc[:, 0], ortho_u, "row")
-    v = _project_unit(Vct[0], ortho_v, "column")
-    u, v, d = _orient(u, v, X)
-    lam = d if d > 0 else np.sqrt(eps)
-    return lam, u, v, _residual_scale2(X, lam, u, v, eps)
-
-
-def _random_init(X, ortho_u, ortho_v, eps, seed):
-    rng = np.random.default_rng(seed)
-    u = _project_unit(rng.standard_normal(X.shape[0]), ortho_u, "row")
-    u = u / np.linalg.norm(u)
-    v = _project_unit(rng.standard_normal(X.shape[1]), ortho_v, "column")
-    v = v / np.linalg.norm(v)
-    u, v, d = _orient(u, v, X)
+    "screened" takes the top SVD pair of X with its gross cells zeroed
+    out, "classical" the top SVD pair of X, "random" seeded normal
+    directions. The directions are projected onto the constraints and
+    oriented; lambda is u'Mv on the matrix M they came from, and sigma2 a
+    robust scale of the residuals.
+    """
+    M = X
+    if policy == "random":
+        rng = np.random.default_rng(0 if seed is None else seed)
+        u, v = rng.standard_normal(X.shape[0]), rng.standard_normal(X.shape[1])
+    else:
+        if policy == "screened":
+            s = 1.4826 * float(np.median(np.abs(X)))
+            if s <= 0:
+                s = float(np.mean(np.abs(X))) or 1.0
+            M = np.where(np.abs(X) <= SCREEN_K * s, X, 0.0)
+            if not np.any(M):
+                M = X
+        elif policy != "classical":
+            raise ValueError(f"unknown init policy {policy!r}")
+        Uc, _, Vct = np.linalg.svd(M, full_matrices=False)
+        u, v = Uc[:, 0], Vct[0]
+    u = _project_unit(u, ortho_u, "row")
+    v = _project_unit(v, ortho_v, "column")
+    if policy == "random":
+        u = u / np.linalg.norm(u)
+        v = v / np.linalg.norm(v)
+    u, v, d = _orient(u, v, M)
     lam = d if d > 0 else np.sqrt(eps)
     return lam, u, v, _residual_scale2(X, lam, u, v, eps)
 
@@ -147,65 +158,69 @@ def _descent_step(X, target, cur, other, s2, alpha, h_cur, left, ortho):
     """Move from cur toward target, halving until h strictly decreases."""
     t = 1.0
     for _ in range(40):
-        cand = cur + t * (target - cur)
-        if ortho is not None and ortho.shape[1]:
-            cand = cand - ortho @ (ortho.T @ cand)
+        cand = _project(cur + t * (target - cur), ortho)
         e = X - (np.outer(cand, other) if left else np.outer(other, cand))
         h = h_value(e, s2, alpha)
         if h < h_cur:
-            return cand, h, e, True
+            return cand, h, e
         t *= 0.5
     e = X - (np.outer(cur, other) if left else np.outer(other, cur))
-    return cur, h_value(e, s2, alpha), e, False
+    return cur, h_value(e, s2, alpha), e
 
 
-def _sigma_solve(e, s2, alpha, eps, floor):
-    """Iterate the scale update to its float fixpoint, bounded below."""
+def _sigma_solve(e, s2, alpha, lo):
+    """Iterate the scale update to its float fixpoint, bounded below by lo.
+
+    Returns (sigma2, degenerate). When mean w falls to alpha
+    (1+alpha)^(-3/2) the update has no positive value: s2 is carried
+    forward and degenerate is True.
+    """
     c_sig = alpha * (1.0 + alpha) ** -1.5
-    lo = max(eps, floor)
     prev = -1.0
     for _ in range(200):
         W = weights(e, s2, alpha)
         den = np.mean(W) - c_sig
         if den <= 0:
-            return s2
+            return s2, True
         s2_new = np.mean(e * e * W) / den
         if s2_new < lo:
-            return lo
+            return lo, False
         if s2_new == s2 or s2_new == prev:
             # 2-cycle at float resolution: keep the lower branch
-            return min(s2, s2_new) if s2_new == prev else s2_new
+            return (min(s2, s2_new) if s2_new == prev else s2_new), False
         prev = s2
         s2 = s2_new
-    return s2
+    return s2, False
+
+
+def _regress(X, W, w, what):
+    """Weighted least squares coefficient of each row of X on w.
+
+    Row i gets [sum_j w_j X_ij W_ij] / [sum_j w_j^2 W_ij]; the column
+    regression is this one on X.T and W.T.
+    """
+    den = W @ (w * w)
+    if np.any(den <= 1e-300):
+        raise DegenerateWeights(f"all {what} weights collapsed")
+    return ((X * W) @ w) / den
 
 
 def _one_cycle(X, alpha, lam, u, v, s2, h, e, ortho_u, ortho_v, eps):
     W = weights(e, s2, alpha)
-    den_u = W @ (v * v)
-    if np.any(den_u <= 1e-300):
-        raise DegenerateWeights("all row weights collapsed")
-    a_t = ((X * W) @ v) / den_u
-    if ortho_u is not None and ortho_u.shape[1]:
-        a_t = a_t - ortho_u @ (ortho_u.T @ a_t)
-    a, h, e, _ = _descent_step(X, a_t, lam * u, v, s2, alpha, h, True, ortho_u)
+    a_t = _project(_regress(X, W, v, "row"), ortho_u)
+    a, h, e = _descent_step(X, a_t, lam * u, v, s2, alpha, h, True, ortho_u)
     lam_mid = np.linalg.norm(a)
     if lam_mid <= 0:
         raise FloatingPointError("rank collapse")
     u = a / lam_mid
     W = weights(e, s2, alpha)
-    den_v = W.T @ (u * u)
-    if np.any(den_v <= 1e-300):
-        raise DegenerateWeights("all column weights collapsed")
-    b_t = ((X * W).T @ u) / den_v
-    if ortho_v is not None and ortho_v.shape[1]:
-        b_t = b_t - ortho_v @ (ortho_v.T @ b_t)
-    b, h, e, _ = _descent_step(X, b_t, lam_mid * v, u, s2, alpha, h, False, ortho_v)
+    b_t = _project(_regress(X.T, W.T, u, "column"), ortho_v)
+    b, h, e = _descent_step(X, b_t, lam_mid * v, u, s2, alpha, h, False, ortho_v)
     lam = np.linalg.norm(b)
     if lam <= 0:
         raise FloatingPointError("rank collapse")
     v = b / lam
-    s2_c = _sigma_solve(e, s2, alpha, eps, floor=SIG_CAP * s2)
+    s2_c = _sigma_solve(e, s2, alpha, max(eps, SIG_CAP * s2))[0]
     h_c = h_value(e, s2_c, alpha)
     if h_c <= h:
         s2, h = s2_c, h_c
@@ -246,31 +261,14 @@ def _solve_bordered(Da, Db, M, wa, wb, htt, B, g, tau):
 
     The Hessian has diagonal a-a and b-b blocks, dense a-b coupling, a scale
     border, and Lagrange columns B (gauge plus orthogonality constraints).
-    Small systems are solved densely; large ones by Schur elimination of the
-    diagonal a-block, O(n p^2) instead of O((n+p)^3).
+    The diagonal a-block is eliminated (Schur complement), O(n p^2) instead
+    of O((n+p)^3); it must be positive, so a non-positive entry of Da + tau
+    returns None, as does a singular complement.
     """
     n = Da.shape[0]
     p = Db.shape[0]
     dim = n + p + 1
     nc = B.shape[1]
-    if dim + nc <= 64:
-        H = np.zeros((dim + nc, dim + nc))
-        H[:n, :n] = np.diag(Da + tau)
-        H[n:n + p, n:n + p] = np.diag(Db + tau)
-        H[:n, n:n + p] = M
-        H[n:n + p, :n] = M.T
-        H[:n, dim - 1] = wa
-        H[dim - 1, :n] = wa
-        H[n:n + p, dim - 1] = wb
-        H[dim - 1, n:n + p] = wb
-        H[dim - 1, dim - 1] = htt + tau
-        H[:dim, dim:] = B
-        H[dim:, :dim] = B.T
-        try:
-            d = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            return None
-        return d[:dim]
     D = Da + tau
     if np.min(D) <= 1e-300:
         return None
@@ -297,8 +295,7 @@ def _solve_bordered(Da, Db, M, wa, wb, htt, B, g, tau):
     return np.concatenate([da, y[:p + 1]])
 
 
-def _newton_polish(X, lam, u, v, s2, alpha, eps, ortho_u=None, ortho_v=None,
-                   max_polish=40):
+def _newton_polish(X, lam, u, v, s2, alpha, eps, ortho_u, ortho_v):
     """Drive a converged fit to the exact stationary point of h.
 
     Full Newton in (a, b, ln sigma2) with the scaling gauge (a, -b, 0) and
@@ -308,13 +305,17 @@ def _newton_polish(X, lam, u, v, s2, alpha, eps, ortho_u=None, ortho_v=None,
     """
     n, p = X.shape
     N = n * p
+    dim = n + p + 1
+    # orthogonality borders: the constraint columns padded to (a, b, t)
+    cons = [np.pad(o, ((lo, dim - lo - o.shape[0]), (0, 0)))
+            for o, lo in ((ortho_u, 0), (ortho_v, n)) if o is not None]
     a = lam * u
     b = v.copy()
     t = float(np.log(s2))
     t_floor = float(np.log(eps))
     h = h_value(X - np.outer(a, b), np.exp(t), alpha)
     tau = 0.0
-    for _ in range(max_polish):
+    for _ in range(40):
         e, P, Q, R, S, T2 = _cell_derivs(X, a, b, t, alpha)
         ga = -(P @ b) / N
         gb = -(P.T @ a) / N
@@ -325,21 +326,8 @@ def _newton_polish(X, lam, u, v, s2, alpha, eps, ortho_u=None, ortho_v=None,
         wa = -(S @ b) / N
         wb = -(S.T @ a) / N
         htt = float(np.sum(T2)) / N
-        dim = n + p + 1
         z = np.concatenate([a, -b, [0.0]])
-        z = z / np.linalg.norm(z)
-        cols = [z]
-        if ortho_u is not None and ortho_u.shape[1]:
-            for k in range(ortho_u.shape[1]):
-                cvec = np.zeros(dim)
-                cvec[:n] = ortho_u[:, k]
-                cols.append(cvec)
-        if ortho_v is not None and ortho_v.shape[1]:
-            for k in range(ortho_v.shape[1]):
-                cvec = np.zeros(dim)
-                cvec[n:n + p] = ortho_v[:, k]
-                cols.append(cvec)
-        B = np.column_stack(cols)
+        B = np.column_stack([z / np.linalg.norm(z), *cons])
         g = np.concatenate([ga, gb, [gt], np.zeros(B.shape[1])])
         cap = 1e-3 * (1.0 + max(np.max(np.abs(a)), np.max(np.abs(b)), abs(t)))
         ok = False
@@ -372,11 +360,7 @@ def _newton_polish(X, lam, u, v, s2, alpha, eps, ortho_u=None, ortho_v=None,
     nb = np.linalg.norm(b)
     if na <= 0 or nb <= 0 or not np.isfinite(na * nb):
         return lam, u, v, s2, h_value(X - lam * np.outer(u, v), s2, alpha)
-    u_o = a / na
-    v_o = b / nb
-    i = int(np.argmax(np.abs(u_o)))
-    if u_o[i] < 0:
-        u_o, v_o = -u_o, -v_o
+    u_o, v_o = _flip_sign(a / na, b / nb)
     return na * nb, u_o, v_o, float(np.exp(t)), h
 
 
@@ -409,32 +393,21 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, polish=True):
     sig1 = np.linalg.svd(X, compute_uv=False)[0]
     lam_cap = SPIKE_FACTOR * max(sig1, np.sqrt(eps))
 
-    policy = opts.init if isinstance(opts.init, str) else "provided"
-    if policy == "screened":
-        lam, u, v, s2 = _screened_init(X, ortho_u, ortho_v, eps)
-    elif policy == "classical":
-        lam, u, v, s2 = _classical_init(X, ortho_u, ortho_v, eps)
-    elif policy == "random":
-        lam, u, v, s2 = _random_init(X, ortho_u, ortho_v, eps,
-                                     0 if opts.seed is None else opts.seed)
-    elif policy == "provided":
-        lam, u, v, s2 = _as_init_tuple(opts.init)
+    policy = opts.init if isinstance(opts.init, str) else None
+    if policy is None:
+        lam, u, v, s2 = _fit_state(opts.init)
         s2 = max(s2, eps)
     else:
-        raise ValueError(f"unknown init policy {opts.init!r}")
+        lam, u, v, s2 = _init(X, policy, eps, opts.seed, ortho_u, ortho_v)
 
     def pack(lam, u, v, s2):
         return np.concatenate([(lam / scale) * u, v, [np.log(s2)]])
 
     def unpack(th):
-        a = th[:n] * scale
-        vv = th[n:n + p]
+        a = _project(th[:n] * scale, ortho_u)
+        vv = _project(th[n:n + p], ortho_v)
         with np.errstate(over="ignore"):
             s2x = float(np.exp(th[-1]))
-        if ortho_u is not None and ortho_u.shape[1]:
-            a = a - ortho_u @ (ortho_u.T @ a)
-        if ortho_v is not None and ortho_v.shape[1]:
-            vv = vv - ortho_v @ (ortho_v.T @ vv)
         la = np.linalg.norm(a)
         nv = np.linalg.norm(vv)
         if la <= 0 or nv <= 0 or not np.isfinite(s2x) or s2x <= 0:
@@ -490,7 +463,7 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, polish=True):
         if lam > lam_cap and not restarted and policy == "screened":
             # the screened basin blew past the data's top singular value
             restarted = True
-            lam, u, v, s2 = _classical_init(X, ortho_u, ortho_v, eps)
+            lam, u, v, s2 = _init(X, "classical", eps, None, ortho_u, ortho_v)
             e = X - lam * np.outer(u, v)
             h = h_value(e, s2, alpha)
             trace = [h]
@@ -504,9 +477,7 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, polish=True):
         if rel < tol:
             converged = True
             break
-    i = int(np.argmax(np.abs(u)))
-    if u[i] < 0:
-        u, v = -u, -v
+    u, v = _flip_sign(u, v)
     if polish:
         lam, u, v, s2, h = _newton_polish(X, lam, u, v, s2, alpha, eps,
                                           ortho_u, ortho_v)
@@ -514,6 +485,17 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, polish=True):
     return dict(lam=float(lam), u=u, v=v, s2=float(s2), h=h, it=it_total,
                 conv=converged, restarted=restarted,
                 trace=np.array(trace, dtype=float))
+
+
+def _layer_fit(f, layer):
+    """The Rank1Fit of a _solve result; one RuntimeWarning if the layer
+    stopped at max_iter before converging."""
+    if not f["conv"]:
+        warnings.warn(f"layer {layer}: stopped at max_iter after {f['it']} "
+                      "iterations without converging", RuntimeWarning,
+                      stacklevel=3)
+    return Rank1Fit(lambda_=f["lam"], u=f["u"], v=f["v"], sigma2=f["s2"],
+                    iterations=f["it"], converged=f["conv"], trace=f["trace"])
 
 
 def fit_rank1(X, opts=None):
@@ -528,22 +510,24 @@ def fit_rank1(X, opts=None):
     -------
     Rank1Fit. The trace of objective values is non-increasing; the fit
     satisfies the unit-norm and sign conventions and sigma2 >= the floor.
+    A fit that stops at max_iter before converging warns (RuntimeWarning).
     """
     X = _check_input(X)
     if opts is None:
         opts = SolverOptions()
-    f = _solve(X, opts)
-    return Rank1Fit(lambda_=f["lam"], u=f["u"], v=f["v"], sigma2=f["s2"],
-                    iterations=f["it"], converged=f["conv"], trace=f["trace"])
+    return _layer_fit(_solve(X, opts), 0)
 
 
-def _fit_state(fit):
-    if hasattr(fit, "lambda_"):
-        lam, u, v, s2 = fit.lambda_, fit.u, fit.v, fit.sigma2
-    else:
-        lam, u, v, s2 = fit
-    return (float(lam), np.asarray(u, dtype=float),
-            np.asarray(v, dtype=float), float(s2))
+def _regress_fixpoint(X, a, w, s2, alpha, what):
+    """Row regression of X on w, repeated until its weights agree with a."""
+    for _ in range(100):
+        W = weights(X - np.outer(a, w), s2, alpha)
+        a_new = _regress(X, W, w, what)
+        done = np.max(np.abs(a_new - a)) <= 1e-13 * (1.0 + np.max(np.abs(a_new)))
+        a = a_new
+        if done:
+            break
+    return a
 
 
 def update_u(X, fit, alpha):
@@ -559,19 +543,7 @@ def update_u(X, fit, alpha):
     al = check_alpha(alpha)
     X = np.asarray(X, dtype=float)
     lam, u, v, s2 = _fit_state(fit)
-    a = lam * u
-    for _ in range(100):
-        e = X - np.outer(a, v)
-        W = weights(e, s2, al)
-        den = W @ (v * v)
-        if np.any(den <= 1e-300):
-            raise DegenerateWeights("all row weights collapsed")
-        a_new = ((X * W) @ v) / den
-        done = np.max(np.abs(a_new - a)) <= 1e-13 * (1.0 + np.max(np.abs(a_new)))
-        a = a_new
-        if done:
-            break
-    return a
+    return _regress_fixpoint(X, lam * u, v, s2, al, "row")
 
 
 def update_v(X, fit, alpha):
@@ -579,19 +551,7 @@ def update_v(X, fit, alpha):
     al = check_alpha(alpha)
     X = np.asarray(X, dtype=float)
     lam, u, v, s2 = _fit_state(fit)
-    b = lam * v
-    for _ in range(100):
-        e = X - np.outer(u, b)
-        W = weights(e, s2, al)
-        den = W.T @ (u * u)
-        if np.any(den <= 1e-300):
-            raise DegenerateWeights("all column weights collapsed")
-        b_new = ((X * W).T @ u) / den
-        done = np.max(np.abs(b_new - b)) <= 1e-13 * (1.0 + np.max(np.abs(b_new)))
-        b = b_new
-        if done:
-            break
-    return b
+    return _regress_fixpoint(X.T, lam * v, u, s2, al, "column")
 
 
 def update_sigma2(residuals, sigma2_prev, alpha, eps=1e-10):
@@ -607,21 +567,7 @@ def update_sigma2(residuals, sigma2_prev, alpha, eps=1e-10):
     s2 = float(sigma2_prev)
     if not s2 > 0.0:
         raise ValueError("sigma2_prev must be positive")
-    c_sig = al * (1.0 + al) ** -1.5
-    prev = -1.0
-    for _ in range(200):
-        W = weights(e, s2, al)
-        den = np.mean(W) - c_sig
-        if den <= 0:
-            return s2, True
-        s2_new = np.mean(e * e * W) / den
-        if s2_new < eps:
-            return eps, False
-        if s2_new == s2 or s2_new == prev:
-            return (min(s2, s2_new) if s2_new == prev else s2_new), False
-        prev = s2
-        s2 = s2_new
-    return s2, False
+    return _sigma_solve(e, s2, al, eps)
 
 
 def _matched_fit_pair(X, opts, transform_X, transform_state):
@@ -631,18 +577,17 @@ def _matched_fit_pair(X, opts, transform_X, transform_state):
     and commute with scaling and permutation, so they are already matched.
     Random or provided starts are transported through the transform.
     """
-    policy = opts.init if isinstance(opts.init, str) else "provided"
     base = fit_rank1(X, opts)
-    if policy in ("screened", "classical"):
+    X = np.asarray(X, dtype=float)
+    if opts.init in ("screened", "classical"):
         opts_t = opts
-    elif policy == "random":
-        eps = sigma_floor(np.asarray(X, dtype=float), opts.eps_sigma)
-        st = _random_init(np.asarray(X, dtype=float), None, None, eps,
-                          0 if opts.seed is None else opts.seed)
-        opts_t = replace(opts, init=transform_state(st))
     else:
-        opts_t = replace(opts, init=transform_state(_as_init_tuple(opts.init)))
-    other = fit_rank1(transform_X(np.asarray(X, dtype=float)), opts_t)
+        if opts.init == "random":
+            st = _init(X, "random", sigma_floor(X, opts.eps_sigma), opts.seed)
+        else:
+            st = _fit_state(opts.init)
+        opts_t = replace(opts, init=transform_state(st))
+    other = fit_rank1(transform_X(X), opts_t)
     return base, other
 
 

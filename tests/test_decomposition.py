@@ -1,4 +1,6 @@
 """Multi-layer decomposition by residual deflation."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,18 @@ class TestFitSvd:
             fit_svd(X, 0)
         with pytest.raises(RankTooLarge):
             fit_svd(X, 5)
+
+    def test_max_iter_stop_warns_once_per_layer(self):
+        X = make_ground_truth().X0 + np.random.default_rng(66).standard_normal(
+            (10, 4))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dec = fit_svd(X, 3, SolverOptions(alpha=0.5, max_iter=1))
+        assert [d.converged for d in dec.diagnostics] == [False] * 3
+        assert [str(w.message) for w in caught] == [
+            f"layer {k}: stopped at max_iter after 1 iterations without "
+            "converging" for k in range(3)]
+        assert all(w.category is RuntimeWarning for w in caught)
 
     def test_layer_annotated_failure(self, monkeypatch):
         from dpdsvd import decomposition as dm

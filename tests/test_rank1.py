@@ -1,4 +1,6 @@
 """Rank-one solver: update operators, full fits, and equivariance checks."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,12 +64,6 @@ class TestUpdateU:
         want = (X @ v) / (v @ v)
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
-    def test_fixpoint_at_exact_rank1(self):
-        X, u, v = rank1_matrix()
-        fit = provided(2.0, u, v, 0.5)
-        got = update_u(X, fit, 0.8)
-        np.testing.assert_allclose(got, 2.0 * u, rtol=1e-12, atol=1e-14)
-
     def test_rows_minimize_cell_divergence(self):
         # independent per-row search oracle on a 3x3 instance
         rng = np.random.default_rng(12)
@@ -81,22 +77,6 @@ class TestUpdateU:
                 v_cell(X[i, j], ai, v[j], s2, alpha) for j in range(3))
             a_star = bisect_row_minimum(row_h, a[i])
             assert a[i] == pytest.approx(a_star, abs=1e-8)
-
-    def test_self_consistent_weights(self):
-        rng = np.random.default_rng(13)
-        X = rng.standard_normal((5, 4))
-        v = unit(rng, 4)
-        fit = provided(1.0, unit(rng, 5), v, 0.4)
-        a = update_u(X, fit, 1.0)
-        W = np.exp(-1.0 * (X - np.outer(a, v)) ** 2 / (2.0 * 0.4))
-        again = ((X * W) @ v) / (W @ (v * v))
-        np.testing.assert_allclose(again, a, rtol=1e-10, atol=1e-12)
-
-    def test_collapsed_weights_raise(self):
-        X = np.full((4, 3), 1e6)
-        fit = provided(0.0, np.ones(4) / 2.0, np.ones(3) / np.sqrt(3), 1e-6)
-        with pytest.raises(DegenerateWeights):
-            update_u(X, fit, 0.5)
 
 
 class TestUpdateV:
@@ -121,6 +101,45 @@ class TestUpdateV:
                 v_cell(X[i, j], u[i], bj, s2, alpha) for i in range(3))
             b_star = bisect_row_minimum(col_h, b[j])
             assert b[j] == pytest.approx(b_star, abs=1e-8)
+
+
+# update_u regresses the rows of X on the fit's v; update_v is the same
+# regression of X's columns on its u
+OPERATORS = [pytest.param(update_u, False, id="update_u"),
+             pytest.param(update_v, True, id="update_v")]
+
+
+class TestRegressionUpdates:
+    @pytest.mark.parametrize("update, columns", OPERATORS)
+    def test_fixpoint_at_exact_rank1(self, update, columns):
+        X, u, v = rank1_matrix()
+        fit = provided(2.0, u, v, 0.5)
+        got = update(X, fit, 0.8)
+        np.testing.assert_allclose(got, 2.0 * (v if columns else u),
+                                   rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("update, columns", OPERATORS)
+    def test_self_consistent_weights(self, update, columns):
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((5, 4))
+        v = unit(rng, 4)
+        u = unit(rng, 5)
+        fit = provided(1.0, u, v, 0.4)
+        c = update(X, fit, 1.0)
+        if columns:
+            W = np.exp(-1.0 * (X - np.outer(u, c)) ** 2 / (2.0 * 0.4))
+            again = ((X * W).T @ u) / (W.T @ (u * u))
+        else:
+            W = np.exp(-1.0 * (X - np.outer(c, v)) ** 2 / (2.0 * 0.4))
+            again = ((X * W) @ v) / (W @ (v * v))
+        np.testing.assert_allclose(again, c, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("update, columns", OPERATORS)
+    def test_collapsed_weights_raise(self, update, columns):
+        X = np.full((4, 3), 1e6)
+        fit = provided(0.0, np.ones(4) / 2.0, np.ones(3) / np.sqrt(3), 1e-6)
+        with pytest.raises(DegenerateWeights):
+            update(X, fit, 0.5)
 
 
 class TestUpdateSigma2:
@@ -268,6 +287,29 @@ class TestFitRank1:
         np.testing.assert_array_equal(f1.u, f2.u)
         np.testing.assert_array_equal(f1.trace, f2.trace)
 
+    def test_max_iter_stop_warns(self):
+        rng = np.random.default_rng(25)
+        X = rng.standard_normal((10, 5))
+        X[0, 0] = 20.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_rank1(X, SolverOptions(alpha=0.5, max_iter=1))
+        assert not fit.converged
+        assert [str(w.message) for w in caught] == [
+            "layer 0: stopped at max_iter after 1 iterations without "
+            "converging"]
+        assert caught[0].category is RuntimeWarning
+        assert caught[0].filename == __file__
+
+    def test_converged_fit_does_not_warn(self):
+        rng = np.random.default_rng(25)
+        X = rng.standard_normal((10, 5))
+        X[0, 0] = 20.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_rank1(X, SolverOptions(alpha=0.5))
+        assert fit.converged
+
     def test_input_validation(self):
         with pytest.raises(NonFiniteInput):
             fit_rank1(np.array([[1.0, np.nan], [0.0, 1.0]]))
@@ -279,21 +321,30 @@ class TestFitRank1:
             fit_rank1(np.ones((5, 1)))
 
 
+def bordered_system(seed, n, p, nc):
+    rng = np.random.default_rng(seed)
+    dim = n + p + 1
+    Da = rng.uniform(1.0, 2.0, n)
+    Db = rng.uniform(1.0, 2.0, p)
+    M = 0.1 * rng.standard_normal((n, p))
+    wa = 0.1 * rng.standard_normal(n)
+    wb = 0.1 * rng.standard_normal(p)
+    htt = 1.5
+    B = rng.standard_normal((dim, nc))
+    g = np.concatenate([rng.standard_normal(dim), np.zeros(nc)])
+    return Da, Db, M, wa, wb, htt, B, g
+
+
 class TestBorderedSolve:
-    def test_schur_path_matches_dense_oracle(self):
-        # past 64 unknowns the solver eliminates the diagonal a-block; the
-        # result must match a dense solve of the same bordered system
-        rng = np.random.default_rng(31)
-        n, p, nc = 40, 30, 2
+    @pytest.mark.parametrize("seed, n, p, nc", [
+        pytest.param(31, 40, 30, 2, id="40x30"),
+        pytest.param(32, 10, 4, 1, id="10x4"),
+    ])
+    def test_schur_path_matches_dense_oracle(self, seed, n, p, nc):
+        # the solver eliminates the diagonal a-block; the result must match
+        # a dense solve of the same bordered system, small or large
+        Da, Db, M, wa, wb, htt, B, g = bordered_system(seed, n, p, nc)
         dim = n + p + 1
-        Da = rng.uniform(1.0, 2.0, n)
-        Db = rng.uniform(1.0, 2.0, p)
-        M = 0.1 * rng.standard_normal((n, p))
-        wa = 0.1 * rng.standard_normal(n)
-        wb = 0.1 * rng.standard_normal(p)
-        htt = 1.5
-        B = rng.standard_normal((dim, nc))
-        g = np.concatenate([rng.standard_normal(dim), np.zeros(nc)])
         tau = 1e-3
 
         got = _solve_bordered(Da, Db, M, wa, wb, htt, B, g, tau)
@@ -312,6 +363,16 @@ class TestBorderedSolve:
         H[dim:, :dim] = B.T
         want = np.linalg.solve(H, -g)[:dim]
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_nonpositive_row_block_asks_for_damping(self):
+        # the a-block cannot be eliminated while an entry of Da + tau is not
+        # positive; the polish then raises tau until it is
+        Da, Db, M, wa, wb, htt, B, g = bordered_system(33, 10, 4, 1)
+        Da[3] = -0.5
+        assert _solve_bordered(Da, Db, M, wa, wb, htt, B, g, 0.0) is None
+        assert _solve_bordered(Da, Db, M, wa, wb, htt, B, g, 0.1) is None
+        step = _solve_bordered(Da, Db, M, wa, wb, htt, B, g, 1.0)
+        assert step is not None and np.all(np.isfinite(step))
 
 
 class TestEquivariance:
