@@ -7,7 +7,8 @@ contamination while staying close to the classical SVD on clean data.
 from .bench import BenchResult, run_timing_bench
 from .decomposition import (RobustSvd, fit_svd, orthogonality_report,
                             reconstruct, sorted_by_lambda)
-from .errors import DegenerateWeights, NonFiniteInput, RankTooLarge
+from .errors import (DegenerateWeights, NonFiniteInput, RankCollapse,
+                     RankTooLarge)
 from .objective import ObjectiveValue, objective, psi, v_cell
 from .rank1 import (Rank1Fit, SolverOptions, check_equivariance_permutation,
                     check_equivariance_scale, fit_rank1, sigma_floor,
@@ -21,8 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchResult", "DegenerateWeights", "GroundTruth", "MethodResult",
-    "NonFiniteInput", "ObjectiveValue", "Rank1Fit", "RankTooLarge",
-    "RobustSvd", "SimConfig", "SimReport", "SolverOptions",
+    "NonFiniteInput", "ObjectiveValue", "Rank1Fit", "RankCollapse",
+    "RankTooLarge", "RobustSvd", "SimConfig", "SimReport", "SolverOptions",
     "check_equivariance_permutation", "check_equivariance_scale",
     "dissimilarity", "fit_rank1", "fit_svd", "format_table",
     "make_ground_truth", "objective", "orthogonal_poly_contrasts",

@@ -10,6 +10,14 @@ class DegenerateWeights(FloatingPointError):
     """
 
 
+class RankCollapse(FloatingPointError):
+    """A rank-one layer's singular value fell to zero during a fit.
+
+    Raised when a regression step returns the zero vector, as for an
+    all-zero matrix or a residual with nothing left to fit.
+    """
+
+
 class NonFiniteInput(ValueError):
     """Input matrix contains NaN or infinite entries."""
 

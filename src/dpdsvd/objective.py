@@ -66,14 +66,18 @@ def v_cell(x, a, b, sigma2, alpha):
     return out if out.ndim else float(out)
 
 
-def h_value(e, sigma2, alpha):
-    """Objective h: mean per-cell divergence for residual array e."""
+def h_value(e, sigma2, alpha, W=None):
+    """Objective h: mean per-cell divergence for residual array e.
+
+    W, if given, holds weights(e, sigma2, alpha) already computed.
+    """
     if alpha == 0.0:
         return float(np.mean(e * e) / (2.0 * sigma2) + 0.5 * np.log(sigma2))
     c1 = (1.0 + alpha) ** -0.5
     c2 = 1.0 + 1.0 / alpha
-    return float(np.mean(sigma2 ** (-alpha / 2.0)
-                         * (c1 - c2 * weights(e, sigma2, alpha))))
+    if W is None:
+        W = weights(e, sigma2, alpha)
+    return float(np.mean(sigma2 ** (-alpha / 2.0) * (c1 - c2 * W)))
 
 
 def _fit_state(fit):

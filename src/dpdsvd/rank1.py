@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateWeights, NonFiniteInput
+from .errors import DegenerateWeights, NonFiniteInput, RankCollapse
 from .objective import _fit_state, check_alpha, h_value, weights
 
 PLAIN_FIRST = 10       # plain cycles before extrapolation kicks in
@@ -155,41 +155,73 @@ def _init(X, policy, eps, seed=None, ortho_u=None, ortho_v=None):
 
 
 def _descent_step(X, target, cur, other, s2, alpha, h_cur, left, ortho):
-    """Move from cur toward target, halving until h strictly decreases."""
+    """Move from cur toward target, halving until h strictly decreases.
+
+    Returns (point, h, residuals, weights) at the point reached.
+    """
     t = 1.0
     for _ in range(40):
         cand = _project(cur + t * (target - cur), ortho)
         e = X - (np.outer(cand, other) if left else np.outer(other, cand))
-        h = h_value(e, s2, alpha)
+        W = weights(e, s2, alpha)
+        h = h_value(e, s2, alpha, W)
         if h < h_cur:
-            return cand, h, e
+            return cand, h, e, W
         t *= 0.5
     e = X - (np.outer(cur, other) if left else np.outer(other, cur))
-    return cur, h_value(e, s2, alpha), e
+    W = weights(e, s2, alpha)
+    return cur, h_value(e, s2, alpha, W), e, W
 
 
-def _sigma_solve(e, s2, alpha, lo):
-    """Iterate the scale update to its float fixpoint, bounded below by lo.
+def _sigma_solve(e, s2, alpha, lo, W=None):
+    """Solve the scale equation s = T(s) by Newton's method from s2.
 
-    Returns (sigma2, degenerate). When mean w falls to alpha
-    (1+alpha)^(-3/2) the update has no positive value: s2 is carried
-    forward and degenerate is True.
+    T(s) = B / den with B = mean e^2 w, den = mean w - alpha (1+alpha)^(-3/2)
+    and w the weights at scale s; its roots are the stationary points of h
+    in sigma2 at these residuals. Each iterate makes one weights pass,
+    which also gives C = mean e^4 w and T'(s) = alpha (C den - B^2) /
+    (2 s^2 den^2). The step goes to s + (T - s) / (1 - T'), but not below
+    lo, when T' < 1 is finite, and to T otherwise. W, if given, holds the
+    weights at s2.
+
+    Returns (sigma2, degenerate): T once |T - s| <= 4e-15 s, or once
+    |T - s| <= 1e-8 s stops falling (the rounding floor of T), or at once
+    when alpha = 0, where T does not depend on s; lo once T falls below
+    lo. When den is not positive at s2, T(s2) has no positive value: s2
+    is returned with degenerate True. A Newton iterate that lands there
+    is replaced by the plain step T from its predecessor.
     """
     c_sig = alpha * (1.0 + alpha) ** -1.5
-    prev = -1.0
+    e2 = e * e
+    plain = None            # T at the predecessor of a Newton iterate
+    r_prev = np.inf
     for _ in range(200):
-        W = weights(e, s2, alpha)
+        if W is None:
+            W = weights(e, s2, alpha)
         den = np.mean(W) - c_sig
         if den <= 0:
-            return s2, True
-        s2_new = np.mean(e * e * W) / den
-        if s2_new < lo:
+            if plain is None:
+                return s2, True
+            s2, plain, W = plain, None, None
+            continue
+        e2w = e2 * W
+        B = np.mean(e2w)
+        T = B / den
+        if T < lo:
             return lo, False
-        if s2_new == s2 or s2_new == prev:
-            # 2-cycle at float resolution: keep the lower branch
-            return (min(s2, s2_new) if s2_new == prev else s2_new), False
-        prev = s2
-        s2 = s2_new
+        r = abs(T - s2)
+        if alpha == 0.0 or r <= 4e-15 * s2 or r_prev <= r <= 1e-8 * s2:
+            return T, False
+        r_prev = r
+        # T'(s) from b = B / s and c = C / s^2, which stay finite at any scale
+        b = B / s2
+        c = np.mean(e2w * (e2 / s2)) / s2
+        d = alpha * (c * den - b * b) / (2.0 * den * den)
+        if np.isfinite(d) and d < 1.0:
+            s2, plain = max(s2 + (T - s2) / (1.0 - d), lo), T
+        else:
+            s2, plain = T, None
+        W = None
     return s2, False
 
 
@@ -208,19 +240,19 @@ def _regress(X, W, w, what):
 def _one_cycle(X, alpha, lam, u, v, s2, h, e, ortho_u, ortho_v, eps):
     W = weights(e, s2, alpha)
     a_t = _project(_regress(X, W, v, "row"), ortho_u)
-    a, h, e = _descent_step(X, a_t, lam * u, v, s2, alpha, h, True, ortho_u)
+    a, h, e, W = _descent_step(X, a_t, lam * u, v, s2, alpha, h, True, ortho_u)
     lam_mid = np.linalg.norm(a)
     if lam_mid <= 0:
-        raise FloatingPointError("rank collapse")
+        raise RankCollapse("rank collapse")
     u = a / lam_mid
-    W = weights(e, s2, alpha)
     b_t = _project(_regress(X.T, W.T, u, "column"), ortho_v)
-    b, h, e = _descent_step(X, b_t, lam_mid * v, u, s2, alpha, h, False, ortho_v)
+    b, h, e, W = _descent_step(X, b_t, lam_mid * v, u, s2, alpha, h, False,
+                               ortho_v)
     lam = np.linalg.norm(b)
     if lam <= 0:
-        raise FloatingPointError("rank collapse")
+        raise RankCollapse("rank collapse")
     v = b / lam
-    s2_c = _sigma_solve(e, s2, alpha, max(eps, SIG_CAP * s2))[0]
+    s2_c = _sigma_solve(e, s2, alpha, max(eps, SIG_CAP * s2), W)[0]
     h_c = h_value(e, s2_c, alpha)
     if h_c <= h:
         s2, h = s2_c, h_c
@@ -557,16 +589,20 @@ def update_v(X, fit, alpha):
 def update_sigma2(residuals, sigma2_prev, alpha, eps=1e-10):
     """Scale update: self-consistent weighted residual variance.
 
-    Iterates s2 <- [mean e^2 w] / [mean w - alpha (1+alpha)^(-3/2)] from
-    sigma2_prev to its fixpoint, clamped to >= eps. Returns (sigma2,
-    degenerate): when the denominator is not positive the previous value
-    is carried forward and degenerate is True.
+    Solves s2 = [mean e^2 w] / [mean w - alpha (1+alpha)^(-3/2)], with w
+    the weights at s2, by Newton's method from sigma2_prev; the result is
+    the fixpoint of that update, clamped to >= eps. Returns (sigma2,
+    degenerate): when the denominator is not positive at sigma2_prev the
+    update has no positive value, the previous value is carried forward
+    and degenerate is True.
     """
     al = check_alpha(alpha)
     e = np.asarray(residuals, dtype=float)
     s2 = float(sigma2_prev)
     if not s2 > 0.0:
         raise ValueError("sigma2_prev must be positive")
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
     return _sigma_solve(e, s2, al, eps)
 
 

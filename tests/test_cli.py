@@ -41,6 +41,14 @@ class TestDecompose:
         np.testing.assert_allclose(payload["lambdas"], [10.0, 5.0, 3.0],
                                    rtol=1e-6)
 
+    def test_rank_collapse_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "zeros.csv"
+        np.savetxt(path, np.zeros((5, 4)), delimiter=",")
+        code = run(["decompose", "--input", path, "--output",
+                    tmp_path / "dec.json", "--rank", "2"])
+        assert code == 3
+        assert "layer 0: rank collapse" in capsys.readouterr().err
+
     def test_json_round_trip(self, truth_csv, tmp_path):
         out = tmp_path / "dec.json"
         assert run(["decompose", "--input", truth_csv, "--output", out,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dpdsvd import (
+    RankCollapse,
     RankTooLarge,
     RobustSvd,
     SolverOptions,
@@ -135,6 +136,11 @@ class TestFitSvd:
             f"layer {k}: stopped at max_iter after 1 iterations without "
             "converging" for k in range(3)]
         assert all(w.category is RuntimeWarning for w in caught)
+
+    def test_zero_matrix_raises_typed_rank_collapse(self):
+        with pytest.raises(RankCollapse, match="layer 0: rank collapse"):
+            fit_svd(np.zeros((5, 4)), 2)
+        assert issubclass(RankCollapse, FloatingPointError)
 
     def test_layer_annotated_failure(self, monkeypatch):
         from dpdsvd import decomposition as dm

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from dpdsvd import ObjectiveValue, Rank1Fit, objective, psi, v_cell
-from dpdsvd.objective import check_alpha, h_value
+from dpdsvd.objective import check_alpha, h_value, weights
 
 
 def brute_force_h(X, lam, u, v, s2, alpha):
@@ -218,3 +218,10 @@ class TestObjective:
             slow = np.mean([v_cell(e[i, j], 0.0, 1.0, 0.9, alpha)
                             for i in range(7) for j in range(5)])
             assert fast == pytest.approx(slow, rel=1e-12)
+
+    def test_h_value_with_precomputed_weights_is_identical(self):
+        rng = np.random.default_rng(10)
+        e = rng.standard_normal((6, 4))
+        for alpha in (0.0, 0.6, 2.0):
+            W = weights(e, 0.7, alpha)
+            assert h_value(e, 0.7, alpha, W) == h_value(e, 0.7, alpha)

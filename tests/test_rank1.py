@@ -3,11 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdsvd import (
     DegenerateWeights,
     NonFiniteInput,
     Rank1Fit,
+    RankCollapse,
     SolverOptions,
     check_equivariance_permutation,
     check_equivariance_scale,
@@ -19,6 +22,7 @@ from dpdsvd import (
     update_v,
     v_cell,
 )
+from dpdsvd import rank1
 from dpdsvd.rank1 import _solve_bordered
 
 
@@ -142,6 +146,53 @@ class TestRegressionUpdates:
             update(X, fit, 0.5)
 
 
+def scale_map(e, s, alpha):
+    """(T(s), den(s)) of the scale equation s = T(s), computed directly."""
+    w = np.exp(-alpha * e * e / (2.0 * s))
+    den = np.mean(w) - alpha * (1.0 + alpha) ** -1.5
+    return np.mean(e * e * w) / den, den
+
+
+def plain_scale_loop(e, s2, alpha, lo):
+    """The scale loop the Newton solve replaced: s2 <- T(s2) repeated to
+    float resolution, where a 2-cycle keeps its lower branch.
+
+    Returns (sigma2, degenerate, weights evaluations).
+    """
+    c_sig = alpha * (1.0 + alpha) ** -1.5
+    prev = -1.0
+    for k in range(1, 201):
+        W = np.exp(-alpha * e * e / (2.0 * s2))
+        den = np.mean(W) - c_sig
+        if den <= 0:
+            return s2, True, k
+        s2_new = np.mean(e * e * W) / den
+        if s2_new < lo:
+            return lo, False, k
+        if s2_new == s2 or s2_new == prev:
+            return (min(s2, s2_new) if s2_new == prev else s2_new), False, k
+        prev = s2
+        s2 = s2_new
+    return s2, False, 200
+
+
+@st.composite
+def scale_problems(draw):
+    """Residuals (N(0, 1) cells, a share of them replaced by gross values
+    in [-30, 30], times 10^k for k in [-100, 100]), a start s0 and a
+    floor lo, both relative to the squared scale, and alpha in (0, 8]."""
+    shape = draw(st.sampled_from([(7,), (4, 3), (10, 4), (20, 6)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    e = rng.standard_normal(shape)
+    gross = rng.random(shape) < draw(st.floats(0.0, 0.4))
+    e = np.where(gross, rng.uniform(-30.0, 30.0, shape), e)
+    k = draw(st.floats(-100.0, 100.0))
+    alpha = draw(st.floats(0.0, 8.0, exclude_min=True))
+    s0 = 10.0 ** (2.0 * k + draw(st.floats(-1.0, 1.0)))
+    lo = 10.0 ** (2.0 * k + draw(st.floats(-12.0, 0.0)))
+    return e * 10.0 ** k, s0, alpha, lo
+
+
 class TestUpdateSigma2:
     def test_alpha_zero_is_mean_square(self):
         rng = np.random.default_rng(4)
@@ -179,6 +230,111 @@ class TestUpdateSigma2:
             update_sigma2(np.ones(4), 0.0, 0.5)
         with pytest.raises(ValueError):
             update_sigma2(np.ones(4), -1.0, 0.0)
+
+    def test_rejects_nonpositive_floor(self):
+        with pytest.raises(ValueError):
+            update_sigma2(np.ones(4), 1.0, 0.5, eps=0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(scale_problems())
+    def test_result_is_a_root_or_a_flagged_stop(self, problem):
+        """Every answer is a root of s = T(s) to 1e-13, the floor lo, or
+        a degenerate stop where den <= 0 (at s0 itself when den(s0) <= 0)."""
+        e, s0, alpha, lo = problem
+        s2, degen = update_sigma2(e, s0, alpha, eps=lo)
+        T, den = scale_map(e, s2, alpha)
+        if scale_map(e, s0, alpha)[1] <= 0:
+            assert (s2, degen) == (s0, True)
+        elif degen:
+            assert den <= 0
+        elif s2 != lo:
+            assert s2 > lo
+            assert abs(T - s2) <= 1e-13 * s2
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(scale_problems())
+    def test_matches_plain_loop_where_it_converges(self, problem):
+        """Same root, floor and degenerate flag as the plain loop wherever
+        the plain loop's answer is determined.
+
+        The claim is made where den > 0 on [lo, hi], hi past every root
+        (T(s) <= mean e^2 / den(s0) for s >= s0), and s - T(s) changes
+        sign at most once on a 400-point grid there. Elsewhere the scale
+        equation has several roots or a pole, and from a far start the two
+        methods can settle on different ones; the plain loop also stops at
+        2-cycles that are not roots (T' < -1) and at its 200-step cap (T'
+        near 1), so its answer is compared only when it is a root.
+        """
+        e, s0, alpha, lo = problem
+        s2, degen = update_sigma2(e, s0, alpha, eps=lo)
+        ref, ref_degen, _ = plain_scale_loop(e, s0, alpha, lo)
+        den0 = scale_map(e, s0, alpha)[1]
+        if den0 <= 0:
+            assert (s2, degen) == (ref, ref_degen) == (s0, True)
+            return
+        grid = np.geomspace(lo, max(s0, np.mean(e * e) / den0, lo), 400)
+        T, den = np.array([scale_map(e, s, alpha) for s in grid]).T
+        if np.any(den <= 0):
+            return
+        changes = np.count_nonzero(np.diff(np.sign(grid - T)))
+        if changes == 0 and grid[0] > T[0]:
+            # no root at or above lo: the plain loop returns lo too, unless
+            # its 200-step cap stopped it short of lo
+            assert (s2, degen) == (lo, False)
+            if ref != lo:
+                assert abs(scale_map(e, ref, alpha)[0] - ref) > 1e-14 * ref
+        elif changes == 1 and not ref_degen and ref != lo:
+            if abs(scale_map(e, ref, alpha)[0] - ref) <= 1e-14 * ref:
+                assert not degen
+                assert s2 == pytest.approx(ref, rel=1e-13)
+
+    def test_warm_starts_take_few_weights_passes(self, monkeypatch):
+        """Criterion-2-style fits: each scale solve, fed the weights of
+        its start as the solver feeds them, makes at most 6 weights
+        evaluations in 99% of calls and never more than the plain loop.
+
+        A start where T' >= 1 takes plain steps, which can need more.
+        """
+        calls = []
+        solve = rank1._sigma_solve
+
+        def record(e, s2, alpha, lo, W=None):
+            calls.append((e.copy(), s2, alpha, lo))
+            return solve(e, s2, alpha, lo, W)
+
+        monkeypatch.setattr(rank1, "_sigma_solve", record)
+        for fi, (n, p, lo, hi) in enumerate(((10, 4, 8.0, 15.0),
+                                             (20, 6, 10.0, 20.0))):
+            for seed in range(12):
+                rng = np.random.default_rng([11, fi, seed])
+                uu = rng.standard_normal(n)
+                vv = rng.standard_normal(p)
+                lam0 = rng.uniform(lo, hi)
+                X = lam0 * np.outer(uu / np.linalg.norm(uu),
+                                    vv / np.linalg.norm(vv))
+                X = X + rng.standard_normal((n, p))
+                for alpha in (0.1, 0.5, 1.0):
+                    fit_rank1(X, SolverOptions(alpha=alpha))
+        monkeypatch.undo()
+        count = [0]
+        weights = rank1.weights
+
+        def counted(*args):
+            count[0] += 1
+            return weights(*args)
+
+        monkeypatch.setattr(rank1, "weights", counted)
+        passes = []
+        for e, s2, alpha, lo in calls:
+            W = weights(e, s2, alpha)
+            count[0] = 0
+            rank1._sigma_solve(e, s2, alpha, lo, W)
+            passes.append(count[0])
+            assert count[0] <= plain_scale_loop(e, s2, alpha, lo)[2]
+        passes = np.array(passes)
+        assert len(passes) > 1000
+        assert np.mean(passes <= 6) >= 0.99
+        assert np.median(passes) <= 3
 
 
 class TestSolverOptions:
@@ -319,6 +475,10 @@ class TestFitRank1:
             fit_rank1(np.ones(5))
         with pytest.raises(ValueError):
             fit_rank1(np.ones((5, 1)))
+
+    def test_zero_matrix_raises_rank_collapse(self):
+        with pytest.raises(RankCollapse, match="rank collapse"):
+            fit_rank1(np.zeros((4, 3)))
 
 
 def bordered_system(seed, n, p, nc):
