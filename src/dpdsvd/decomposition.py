@@ -4,15 +4,17 @@ Each layer solves the rank-one problem on the running residual (the data
 minus all previously fitted layers) with its singular vectors constrained
 orthogonal to those of the previous layers; the constraint is enforced by
 projecting every candidate update onto the orthogonal complement before
-normalization. Layers are returned in fit order (no sorting);
-sorted_by_lambda reorders on request.
+normalization. At alpha = 0 these layers are the singular triples of X,
+so they are computed in closed form from one SVD instead. Layers are
+returned in fit order (no sorting); sorted_by_lambda reorders on request.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RankTooLarge
-from .rank1 import SolverOptions, _check_input, _layer_fit, _solve
+from .rank1 import (SolverOptions, _check_input, _classical_layers,
+                    _layer_fit, _solve)
 
 
 @dataclass
@@ -31,6 +33,22 @@ class RobustSvd:
     diagnostics: list
 
 
+def _deflation_layers(X, opts):
+    """Yield the _solve result of each successive layer at alpha > 0."""
+    E = X.copy()
+    done = []
+    for k in range(min(X.shape)):
+        ortho_u = np.column_stack([f["u"] for f in done]) if done else None
+        ortho_v = np.column_stack([f["v"] for f in done]) if done else None
+        # only the first (free) layer is Newton-polished: a constrained
+        # layer's projected targets are not descent steps, so its
+        # iteration stalls short of the constrained stationary point
+        f = _solve(E, opts, ortho_u, ortho_v, polish=(k == 0))
+        yield f
+        done.append(f)
+        E = E - f["lam"] * np.outer(f["u"], f["v"])
+
+
 def fit_svd(X, rank, opts=None):
     """Fit a rank-`rank` robust SVD of X.
 
@@ -42,7 +60,10 @@ def fit_svd(X, rank, opts=None):
 
     Raises RankTooLarge when rank exceeds min(n, p). Errors raised while
     fitting layer k are re-raised with a "layer k:" prefix; a layer that
-    stops at max_iter before converging warns (RuntimeWarning).
+    stops at max_iter before converging warns (RuntimeWarning). At alpha
+    = 0 the fit is the top-`rank` SVD of X, computed in closed form: every
+    layer reports 0 iterations and a one-entry trace, and a zero singular
+    value raises RankCollapse.
     """
     X = _check_input(X)
     n, p = X.shape
@@ -53,22 +74,15 @@ def fit_svd(X, rank, opts=None):
         raise RankTooLarge(f"rank {rank} exceeds min(n, p) = {min(n, p)}")
     if opts is None:
         opts = SolverOptions()
-    E = X.copy()
+    layers = (_classical_layers(X, opts.eps_sigma) if opts.alpha == 0.0
+              else _deflation_layers(X, opts))
     diags = []
     for k in range(rank):
-        ortho_u = np.column_stack([d.u for d in diags]) if diags else None
-        ortho_v = np.column_stack([d.v for d in diags]) if diags else None
-        # constrained layers stay Newton-polished only in the least squares
-        # case, where the projected fixpoint and the constrained stationary
-        # point coincide; the first (free) layer is always polished
-        do_polish = k == 0 or opts.alpha == 0.0
         try:
-            f = _solve(E, opts, ortho_u, ortho_v, polish=do_polish)
+            f = next(layers)
         except (FloatingPointError, ValueError) as exc:
             raise type(exc)(f"layer {k}: {exc}") from exc
-        fit = _layer_fit(f, k)
-        diags.append(fit)
-        E = E - fit.lambda_ * np.outer(fit.u, fit.v)
+        diags.append(_layer_fit(f, k))
     return RobustSvd(rank=rank,
                      lambdas=np.array([d.lambda_ for d in diags]),
                      U=np.column_stack([d.u for d in diags]),

@@ -13,8 +13,9 @@ class DegenerateWeights(FloatingPointError):
 class RankCollapse(FloatingPointError):
     """A rank-one layer's singular value fell to zero during a fit.
 
-    Raised when a regression step returns the zero vector, as for an
-    all-zero matrix or a residual with nothing left to fit.
+    Raised when a regression step returns the zero vector or, at alpha =
+    0, when the layer's singular value is exactly 0: an all-zero matrix,
+    or a residual with nothing left to fit.
     """
 
 

@@ -17,6 +17,10 @@ derivatives, each step solved by Schur elimination of the diagonal row
 block; the polish lands on the exact stationary point at float
 resolution, which makes independently computed fits of scaled or permuted
 data agree to machine precision.
+
+At alpha = 0 h is the Gaussian log-likelihood, whose minimizer is the top
+singular triple; that case is computed in closed form from one SVD
+(_classical_layers) and never reaches the iteration.
 """
 import warnings
 from dataclasses import dataclass, replace
@@ -30,6 +34,7 @@ PLAIN_FIRST = 10       # plain cycles before extrapolation kicks in
 SIG_CAP = 0.5          # sigma^2 may shrink at most 2x per outer iteration
 SPIKE_FACTOR = 4.0     # restart when lambda exceeds this multiple of sigma_1
 SCREEN_K = 2.0         # init screening threshold in robust sd units
+INIT_POLICIES = ("screened", "classical", "random")
 
 
 @dataclass
@@ -58,6 +63,8 @@ class SolverOptions:
     SVD pair of the data itself; "random" seeded random unit vectors
     (set seed); a Rank1Fit or (lambda, u, v, sigma2) tuple is used as is.
     eps_sigma overrides the sigma2 floor (default 1e-10 max(1, mean X^2)).
+    At alpha = 0 the fit is one SVD in closed form: tol, max_iter, init
+    and seed have no effect there (an init string is still validated).
     """
     alpha: float = 0.0
     tol: float = 1e-8
@@ -73,6 +80,8 @@ class SolverOptions:
         if int(self.max_iter) < 1:
             raise ValueError("max_iter must be at least 1")
         self.max_iter = int(self.max_iter)
+        if isinstance(self.init, str) and self.init not in INIT_POLICIES:
+            raise ValueError(f"unknown init policy {self.init!r}")
 
 
 def _project(w, ortho):
@@ -140,8 +149,6 @@ def _init(X, policy, eps, seed=None, ortho_u=None, ortho_v=None):
             M = np.where(np.abs(X) <= SCREEN_K * s, X, 0.0)
             if not np.any(M):
                 M = X
-        elif policy != "classical":
-            raise ValueError(f"unknown init policy {policy!r}")
         Uc, _, Vct = np.linalg.svd(M, full_matrices=False)
         u, v = Uc[:, 0], Vct[0]
     u = _project_unit(u, ortho_u, "row")
@@ -185,11 +192,10 @@ def _sigma_solve(e, s2, alpha, lo, W=None):
     weights at s2.
 
     Returns (sigma2, degenerate): T once |T - s| <= 4e-15 s, or once
-    |T - s| <= 1e-8 s stops falling (the rounding floor of T), or at once
-    when alpha = 0, where T does not depend on s; lo once T falls below
-    lo. When den is not positive at s2, T(s2) has no positive value: s2
-    is returned with degenerate True. A Newton iterate that lands there
-    is replaced by the plain step T from its predecessor.
+    |T - s| <= 1e-8 s stops falling (the rounding floor of T); lo once T
+    falls below lo. When den is not positive at s2, T(s2) has no positive
+    value: s2 is returned with degenerate True. A Newton iterate that
+    lands there is replaced by the plain step T from its predecessor.
     """
     c_sig = alpha * (1.0 + alpha) ** -1.5
     e2 = e * e
@@ -210,7 +216,7 @@ def _sigma_solve(e, s2, alpha, lo, W=None):
         if T < lo:
             return lo, False
         r = abs(T - s2)
-        if alpha == 0.0 or r <= 4e-15 * s2 or r_prev <= r <= 1e-8 * s2:
+        if r <= 4e-15 * s2 or r_prev <= r <= 1e-8 * s2:
             return T, False
         r_prev = r
         # T'(s) from b = B / s and c = C / s^2, which stay finite at any scale
@@ -263,17 +269,11 @@ def _cell_derivs(X, a, b, t, alpha):
     """Residuals and per-cell derivatives of the cell divergence.
 
     Returns (e, P, Q, R, S, T2): P = dV/de, Q = d2V/de2, R = dV/dt,
-    S = d2V/de dt, T2 = d2V/dt2, in the coordinates (a, b, t = ln sigma2).
+    S = d2V/de dt, T2 = d2V/dt2, in the coordinates (a, b, t = ln sigma2);
+    alpha > 0.
     """
     e = X - np.outer(a, b)
     s2 = np.exp(t)
-    if alpha == 0.0:
-        P = e / s2
-        Q = np.full_like(e, 1.0 / s2)
-        R = -e * e / (2.0 * s2) + 0.5
-        S = -e / s2
-        T2 = e * e / (2.0 * s2)
-        return e, P, Q, R, S, T2
     c1 = (1.0 + alpha) ** -0.5
     c2 = 1.0 + 1.0 / alpha
     pre = np.exp(-alpha * t / 2.0)
@@ -415,7 +415,8 @@ def _check_input(X):
 
 
 def _solve(X, opts, ortho_u=None, ortho_v=None, polish=True):
-    """Internal driver; returns a dict so callers can extend diagnostics."""
+    """The iterative rank-one fit, for alpha > 0; returns a dict so
+    callers can extend diagnostics."""
     alpha = opts.alpha
     tol = opts.tol
     max_iter = opts.max_iter
@@ -519,9 +520,33 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, polish=True):
                 trace=np.array(trace, dtype=float))
 
 
+def _classical_layers(X, eps_sigma):
+    """Yield the alpha = 0 deflation layers of X in closed form, as the
+    results _layer_fit takes.
+
+    At alpha = 0 h is the Gaussian log-likelihood, so layer k is the k-th
+    singular triple of one SVD of X, with the sign convention. Its sigma2
+    is the mean square of the running residual after the layer, floored
+    at sigma_floor of the residual before it; it reports 0 iterations,
+    converged, and a one-entry trace, h at the fit. Raises RankCollapse
+    at a zero singular value.
+    """
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    E = X
+    for k in range(s.size):
+        if s[k] == 0.0:
+            raise RankCollapse("rank collapse")
+        u, v = _flip_sign(U[:, k].copy(), Vt[k].copy())
+        eps = sigma_floor(E, eps_sigma)
+        E = E - s[k] * np.outer(u, v)
+        s2 = max(float(np.mean(E * E)), eps)
+        yield dict(lam=float(s[k]), u=u, v=v, s2=s2, it=0, conv=True,
+                   trace=np.array([h_value(E, s2, 0.0)]))
+
+
 def _layer_fit(f, layer):
-    """The Rank1Fit of a _solve result; one RuntimeWarning if the layer
-    stopped at max_iter before converging."""
+    """The Rank1Fit of a _solve or _classical_layers result; one
+    RuntimeWarning if the layer stopped at max_iter before converging."""
     if not f["conv"]:
         warnings.warn(f"layer {layer}: stopped at max_iter after {f['it']} "
                       "iterations without converging", RuntimeWarning,
@@ -543,11 +568,20 @@ def fit_rank1(X, opts=None):
     Rank1Fit. The trace of objective values is non-increasing; the fit
     satisfies the unit-norm and sign conventions and sigma2 >= the floor.
     A fit that stops at max_iter before converging warns (RuntimeWarning).
+    At alpha = 0 the fit is the top singular triple of X, computed in
+    closed form with 0 iterations and a one-entry trace.
+
+    Raises RankCollapse when the fitted singular value is 0, as for an
+    all-zero matrix.
     """
     X = _check_input(X)
     if opts is None:
         opts = SolverOptions()
-    return _layer_fit(_solve(X, opts), 0)
+    if opts.alpha == 0.0:
+        f = next(_classical_layers(X, opts.eps_sigma))
+    else:
+        f = _solve(X, opts)
+    return _layer_fit(f, 0)
 
 
 def _regress_fixpoint(X, a, w, s2, alpha, what):

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdsvd import (
     RankCollapse,
@@ -10,11 +12,14 @@ from dpdsvd import (
     RobustSvd,
     SolverOptions,
     dissimilarity,
+    fit_rank1,
     fit_svd,
     orthogonality_report,
     reconstruct,
+    sigma_floor,
     sorted_by_lambda,
 )
+from dpdsvd.objective import h_value
 from dpdsvd.sim import make_ground_truth
 
 
@@ -158,7 +163,7 @@ class TestFitSvd:
         monkeypatch.setattr(dm, "_solve", boom)
         rng = np.random.default_rng(65)
         with pytest.raises(FloatingPointError, match="layer 1: weights"):
-            fit_svd(rng.standard_normal((6, 5)), 2)
+            fit_svd(rng.standard_normal((6, 5)), 2, SolverOptions(alpha=0.5))
 
 
 class TestHelpers:
@@ -206,3 +211,68 @@ class TestLayerwiseEquivariance:
             for c in (3.0, -2.0):
                 db = fit_svd(c * X, 3, opts)
                 assert self._deviation(da, db, c) <= tol
+
+
+@st.composite
+def classical_problems(draw):
+    """(X, rank): a 2x2 to 30x12 Gaussian matrix, or an exactly rank
+    deficient product of thin Gaussian factors, times 10^k for k in
+    [-100, 100], and a rank from 1 to min(n, p)."""
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = draw(st.integers(1, min(n, p)))
+    if q < min(n, p):
+        X = rng.standard_normal((n, q)) @ rng.standard_normal((q, p))
+    else:
+        X = rng.standard_normal((n, p))
+    X = X * 10.0 ** draw(st.floats(-100.0, 100.0))
+    return X, draw(st.integers(1, min(n, p)))
+
+
+class TestClassicalClosedForm:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(classical_problems())
+    def test_alpha_zero_is_the_truncated_svd(self, problem):
+        """Layer k is the k-th singular triple of X; sigma2_k is the mean
+        square of the running residual after it, floored at the residual
+        before it; every layer reports 0 iterations, converged, and the
+        one-entry trace h at the fit."""
+        X, rank = problem
+        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        zero = np.flatnonzero(s[:rank] == 0.0)
+        if zero.size:
+            with pytest.raises(RankCollapse,
+                               match=f"layer {zero[0]}: rank collapse"):
+                fit_svd(X, rank)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = fit_svd(X, rank)
+        np.testing.assert_allclose(dec.lambdas, s[:rank], rtol=1e-12, atol=0)
+        eye = np.eye(rank)
+        assert np.max(np.abs(dec.U.T @ dec.U - eye)) <= 1e-12
+        assert np.max(np.abs(dec.V.T @ dec.V - eye)) <= 1e-12
+        E = X
+        for k, d in enumerate(dec.diagnostics):
+            floor = sigma_floor(E)
+            E = E - dec.lambdas[k] * np.outer(dec.U[:, k], dec.V[:, k])
+            s2 = max(float(np.mean(E * E)), floor)
+            assert dec.sigma2s[k] == pytest.approx(s2, rel=1e-12)
+            assert (d.iterations, d.converged) == (0, True)
+            np.testing.assert_array_equal(d.trace, [h_value(E, s2, 0.0)])
+        first = fit_rank1(X)
+        layer0 = fit_svd(X, 1).diagnostics[0]
+        assert first.lambda_ == layer0.lambda_
+        assert first.sigma2 == layer0.sigma2
+        for got, want in ((first.u, layer0.u), (first.v, layer0.v),
+                          (first.trace, layer0.trace)):
+            np.testing.assert_array_equal(got, want)
+        assert (first.iterations, first.converged) == (0, True)
+
+    def test_zero_singular_value_raises_at_its_layer(self):
+        e1 = np.eye(4)[0]
+        with pytest.raises(RankCollapse, match="^layer 1: rank collapse$"):
+            fit_svd(3.0 * np.outer(e1, e1), 2)
+        dec = fit_svd(3.0 * np.outer(e1, e1), 1)
+        assert dec.lambdas[0] == 3.0

@@ -23,6 +23,7 @@ from dpdsvd import (
     v_cell,
 )
 from dpdsvd import rank1
+from dpdsvd.objective import h_value
 from dpdsvd.rank1 import _solve_bordered
 
 
@@ -340,7 +341,7 @@ class TestUpdateSigma2:
 class TestSolverOptions:
     @pytest.mark.parametrize("kw", [dict(alpha=-0.1), dict(alpha=8.5),
                                     dict(tol=0.0), dict(tol=-1e-8),
-                                    dict(max_iter=0)])
+                                    dict(max_iter=0), dict(init="weird")])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             SolverOptions(**kw)
@@ -478,6 +479,45 @@ class TestFitRank1:
 
     def test_zero_matrix_raises_rank_collapse(self):
         with pytest.raises(RankCollapse, match="rank collapse"):
+            fit_rank1(np.zeros((4, 3)))
+
+
+class TestClassicalClosedForm:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(2, 30), st.integers(2, 12), st.integers(0, 2 ** 32 - 1),
+           st.floats(-100.0, 100.0))
+    def test_alpha_zero_is_the_top_singular_triple(self, n, p, seed, k):
+        """At alpha = 0 the fit is the top SVD triple of X with the sign
+        convention, whatever tol, max_iter, init and seed say."""
+        X = np.random.default_rng(seed).standard_normal((n, p)) * 10.0 ** k
+        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        u, v = U[:, 0], Vt[0]
+        if u[np.argmax(np.abs(u))] < 0:
+            u, v = -u, -v
+        e = X - s[0] * np.outer(u, v)
+        s2 = max(float(np.mean(e * e)), sigma_floor(X))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = [fit_rank1(X, opts) for opts in (
+                SolverOptions(),
+                SolverOptions(tol=0.5, max_iter=1),
+                SolverOptions(init="classical"),
+                SolverOptions(init="random", seed=5),
+                SolverOptions(init=(1.0, np.ones(n), np.ones(p), 1.0)))]
+        for fit in fits:
+            assert fit.lambda_ == s[0]
+            np.testing.assert_array_equal(fit.u, u)
+            np.testing.assert_array_equal(fit.v, v)
+            assert fit.sigma2 == s2
+            assert (fit.iterations, fit.converged) == (0, True)
+            np.testing.assert_array_equal(fit.trace, [h_value(e, s2, 0.0)])
+
+    def test_eps_sigma_sets_the_floor(self):
+        X, _, _ = rank1_matrix(seed=26, lam=2.0)
+        assert fit_rank1(X, SolverOptions(eps_sigma=0.25)).sigma2 == 0.25
+
+    def test_zero_matrix_message(self):
+        with pytest.raises(RankCollapse, match="^rank collapse$"):
             fit_rank1(np.zeros((4, 3)))
 
 
