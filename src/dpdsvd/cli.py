@@ -33,24 +33,22 @@ def _positive_int(text):
     return v
 
 
-def _float_list(text):
-    try:
-        items = tuple(float(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-    if not items:
-        raise argparse.ArgumentTypeError("empty list")
-    return items
+def _list_of(kind, word):
+    """argparse type: a non-empty comma-separated list of kind values."""
+    def parse(text):
+        try:
+            items = tuple(kind(t) for t in text.split(",") if t.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {word} list: {text!r}")
+        if not items:
+            raise argparse.ArgumentTypeError("empty list")
+        return items
+    return parse
 
 
-def _int_list(text):
-    try:
-        items = tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    if not items:
-        raise argparse.ArgumentTypeError("empty list")
-    return items
+_float_list = _list_of(float, "float")
+_int_list = _list_of(int, "integer")
 
 
 def _env_seed():

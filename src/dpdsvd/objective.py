@@ -27,12 +27,7 @@ def psi(x, alpha):
     Downweights large residuals smoothly; identically 1 at alpha = 0.
     Accepts scalars or arrays, x >= 0 by convention (the weight is even).
     """
-    a = check_alpha(alpha)
-    x = np.asarray(x, dtype=float)
-    if a == 0.0:
-        out = np.ones_like(x)
-    else:
-        out = np.exp(-a * x * x / 2.0)
+    out = weights(np.asarray(x, dtype=float), 1.0, check_alpha(alpha))
     return out if out.ndim else float(out)
 
 

@@ -20,7 +20,7 @@ from dpdsvd import (
     sorted_by_lambda,
 )
 from dpdsvd.objective import h_value
-from dpdsvd.sim import make_ground_truth
+from dpdsvd.sim import make_ground_truth, sample_noise
 
 
 def rank2_matrix():
@@ -153,17 +153,39 @@ class TestFitSvd:
         calls = {"n": 0}
         orig = dm._solve
 
-        def boom(X, opts, ortho_u=None, ortho_v=None, polish=True):
+        def boom(X, opts, ortho_u=None, ortho_v=None):
             if calls["n"] >= 1:
                 raise FloatingPointError("weights collapsed")
             calls["n"] += 1
-            return orig(X, opts, ortho_u=ortho_u, ortho_v=ortho_v,
-                        polish=polish)
+            return orig(X, opts, ortho_u=ortho_u, ortho_v=ortho_v)
 
         monkeypatch.setattr(dm, "_solve", boom)
         rng = np.random.default_rng(65)
         with pytest.raises(FloatingPointError, match="layer 1: weights"):
             fit_svd(rng.standard_normal((6, 5)), 2, SolverOptions(alpha=0.5))
+
+
+class TestPolishRule:
+    """Layer 0 is unconstrained and Newton-polished; later layers are not."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_only_layer0_is_polished(self, alpha):
+        X = (make_ground_truth().X0
+             + sample_noise("S2c", np.random.default_rng([1, 0]))[0])
+        opts = SolverOptions(alpha=alpha)
+        dec = fit_svd(X, 3, opts)
+        first = fit_rank1(X, opts)
+        layer0 = dec.diagnostics[0]
+        assert (first.lambda_, first.sigma2, first.iterations,
+                first.converged) == (layer0.lambda_, layer0.sigma2,
+                                     layer0.iterations, layer0.converged)
+        for got, want in ((first.u, layer0.u), (first.v, layer0.v),
+                          (first.trace, layer0.trace)):
+            np.testing.assert_array_equal(got, want)
+        # the start, one entry per iteration, and the polish on layer 0 only
+        assert layer0.trace.size == layer0.iterations + 2
+        for d in dec.diagnostics[1:]:
+            assert d.trace.size == d.iterations + 1
 
 
 class TestHelpers:

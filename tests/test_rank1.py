@@ -467,6 +467,21 @@ class TestFitRank1:
             fit = fit_rank1(X, SolverOptions(alpha=0.5))
         assert fit.converged
 
+    def test_spike_restart(self):
+        # criterion 2's draw [11, 0, 58]: the screened basin's lambda
+        # passes SPIKE_FACTOR sigma_1, so the fit restarts classically
+        rng = np.random.default_rng([11, 0, 58])
+        uu = rng.standard_normal(10)
+        vv = rng.standard_normal(4)
+        lam0 = rng.uniform(8.0, 15.0)
+        E = rng.standard_normal((10, 4))
+        X = lam0 * np.outer(uu / np.linalg.norm(uu),
+                            vv / np.linalg.norm(vv)) + E
+        out = rank1._solve(X, SolverOptions(alpha=0.5))
+        assert out["restarted"]
+        assert out["conv"]
+        assert np.all(np.diff(out["trace"]) <= 1e-10)
+
     def test_input_validation(self):
         with pytest.raises(NonFiniteInput):
             fit_rank1(np.array([[1.0, np.nan], [0.0, 1.0]]))
