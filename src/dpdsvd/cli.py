@@ -15,7 +15,6 @@ import numpy as np
 
 from .bench import bench_to_csv, run_timing_bench
 from .decomposition import fit_svd
-from .errors import NonFiniteInput, RankTooLarge
 from .rank1 import SolverOptions
 from .sim import (DEFAULT_REPLICATES, FULL_REPLICATES, SimConfig,
                   format_table, report_to_csv, run_simulation)
@@ -113,8 +112,6 @@ def cmd_decompose(args):
     try:
         opts = _solver_options(args)
         dec = fit_svd(X, args.rank, opts)
-    except (RankTooLarge, NonFiniteInput) as exc:
-        return _fail(str(exc), 2)
     except FloatingPointError as exc:
         return _fail(f"solver degeneracy: {exc}", 3)
     except ValueError as exc:

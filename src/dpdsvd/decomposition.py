@@ -3,8 +3,9 @@
 Each layer solves the rank-one problem on the running residual (the data
 minus all previously fitted layers) with its singular vectors constrained
 orthogonal to those of the previous layers; the constraint is enforced by
-projecting every candidate update onto the orthogonal complement before
-normalization. At alpha = 0 these layers are the singular triples of X,
+projecting the start, each regression target and each extrapolated state
+onto the orthogonal complement (a backtracked step between two feasible
+points needs no projection). At alpha = 0 these layers are the singular triples of X,
 so they are computed in closed form from one SVD instead. Layers are
 returned in fit order (no sorting); sorted_by_lambda reorders on request.
 

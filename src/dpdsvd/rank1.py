@@ -3,11 +3,17 @@
 The estimator minimizes the density power divergence objective h (see
 objective.py) over (lambda, u, v, sigma2) with unit-norm u, v. Each outer
 iteration runs a row regression for u, a column regression for v (both
-backtracked so h never increases), and a self-consistent scale update.
-The column regression is the row regression of the transposed problem.
-After a warm-up the iteration is accelerated by squared extrapolation of
-the fixed-point map (SQUAREM), and every accelerated state is re-checked
-against h.
+backtracked so h never increases; one function, _half_step, does either),
+and a self-consistent scale update. The column regression is the row
+regression of the transposed problem. After a warm-up the iteration is
+accelerated by squared extrapolation of the fixed-point map (SQUAREM),
+and every accelerated state is re-checked against h.
+
+A deflated layer constrains u and v orthogonal to the earlier layers'
+vectors. Three things are projected onto that constraint: the start,
+each regression target and each extrapolated state. A backtracked
+candidate lies between the current point and its target, both feasible,
+so it is not projected again.
 
 Plain alternating descent stalls inside a float-flat region around the
 minimizer (step-to-step h differences underflow double precision long
@@ -82,6 +88,8 @@ class SolverOptions:
         self.max_iter = int(self.max_iter)
         if isinstance(self.init, str) and self.init not in INIT_POLICIES:
             raise ValueError(f"unknown init policy {self.init!r}")
+        if self.eps_sigma is not None and not (0.0 < self.eps_sigma < np.inf):
+            raise ValueError("eps_sigma must be a finite positive number")
 
 
 def _project(w, ortho):
@@ -126,21 +134,25 @@ def _residual_scale2(X, lam, u, v, eps):
     return max((1.4826 * float(np.median(np.abs(e)))) ** 2, eps)
 
 
-def _init(X, policy, eps, seed=None, ortho_u=None, ortho_v=None):
-    """Starting state (lambda, u, v, sigma2) of an init policy.
+def _init(X, init, eps, seed=None, ortho_u=None, ortho_v=None):
+    """Starting state (lambda, u, v, sigma2) of SolverOptions.init.
 
-    "screened" takes the top SVD pair of X with its gross cells zeroed
-    out, "classical" the top SVD pair of X, "random" seeded normal
-    directions. The directions are projected onto the constraints and
-    oriented; lambda is u'Mv on the matrix M they came from, and sigma2 a
-    robust scale of the residuals.
+    A provided state (Rank1Fit or 4-tuple) is used as is, with sigma2
+    floored at eps. "screened" takes the top SVD pair of X with its gross
+    cells zeroed out, "classical" the top SVD pair of X, "random" seeded
+    normal directions. The directions are projected onto the constraints
+    and oriented; lambda is u'Mv on the matrix M they came from, and
+    sigma2 a robust scale of the residuals.
     """
+    if not isinstance(init, str):
+        lam, u, v, s2 = _fit_state(init)
+        return lam, u, v, max(s2, eps)
     M = X
-    if policy == "random":
+    if init == "random":
         rng = np.random.default_rng(0 if seed is None else seed)
         u, v = rng.standard_normal(X.shape[0]), rng.standard_normal(X.shape[1])
     else:
-        if policy == "screened":
+        if init == "screened":
             s = 1.4826 * float(np.median(np.abs(X)))
             if s <= 0:
                 s = float(np.mean(np.abs(X))) or 1.0
@@ -151,31 +163,12 @@ def _init(X, policy, eps, seed=None, ortho_u=None, ortho_v=None):
         u, v = Uc[:, 0], Vct[0]
     u = _project_unit(u, ortho_u, "row")
     v = _project_unit(v, ortho_v, "column")
-    if policy == "random":
+    if init == "random":
         u = u / np.linalg.norm(u)
         v = v / np.linalg.norm(v)
     u, v, d = _orient(u, v, M)
     lam = d if d > 0 else np.sqrt(eps)
     return lam, u, v, _residual_scale2(X, lam, u, v, eps)
-
-
-def _descent_step(X, target, cur, other, s2, alpha, h_cur, left, ortho):
-    """Move from cur toward target, halving until h strictly decreases.
-
-    Returns (point, h, residuals, weights) at the point reached.
-    """
-    t = 1.0
-    for _ in range(40):
-        cand = _project(cur + t * (target - cur), ortho)
-        e = X - (np.outer(cand, other) if left else np.outer(other, cand))
-        W = weights(e, s2, alpha)
-        h = h_value(e, s2, alpha, W)
-        if h < h_cur:
-            return cand, h, e, W
-        t *= 0.5
-    e = X - (np.outer(cur, other) if left else np.outer(other, cur))
-    W = weights(e, s2, alpha)
-    return cur, h_value(e, s2, alpha, W), e, W
 
 
 def _sigma_solve(e, s2, alpha, lo, W=None):
@@ -241,21 +234,45 @@ def _regress(X, W, w, what):
     return ((X * W) @ w) / den
 
 
-def _one_cycle(X, alpha, lam, u, v, s2, h, e, ortho_u, ortho_v, eps):
-    W = weights(e, s2, alpha)
-    a_t = _project(_regress(X, W, v, "row"), ortho_u)
-    a, h, e, W = _descent_step(X, a_t, lam * u, v, s2, alpha, h, True, ortho_u)
-    lam_mid = np.linalg.norm(a)
-    if lam_mid <= 0:
-        raise RankCollapse("rank collapse")
-    u = a / lam_mid
-    b_t = _project(_regress(X.T, W.T, u, "column"), ortho_v)
-    b, h, e, W = _descent_step(X, b_t, lam_mid * v, u, s2, alpha, h, False,
-                               ortho_v)
-    lam = np.linalg.norm(b)
+def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
+    """One regression half-step: the row (left) or column update of cur.
+
+    The target is the weighted regression of X (X.T for columns) on other
+    with the weights W, projected onto the constraints; cur moves toward
+    it, halving the step until h strictly decreases, and stays put after
+    40 halvings. Every point between cur and the target satisfies the
+    constraints, so the candidates are not projected again. e, W and h
+    belong to cur.
+
+    Returns (length, unit direction, h, residuals, weights) at the point
+    reached. Raises RankCollapse at length 0.
+    """
+    if left:
+        target = _project(_regress(X, W, other, "row"), ortho)
+    else:
+        target = _project(_regress(X.T, W.T, other, "column"), ortho)
+    t = 1.0
+    for _ in range(40):
+        cand = cur + t * (target - cur)
+        e_c = X - (np.outer(cand, other) if left else np.outer(other, cand))
+        W_c = weights(e_c, s2, alpha)
+        h_c = h_value(e_c, s2, alpha, W_c)
+        if h_c < h:
+            cur, h, e, W = cand, h_c, e_c, W_c
+            break
+        t *= 0.5
+    lam = np.linalg.norm(cur)
     if lam <= 0:
         raise RankCollapse("rank collapse")
-    v = b / lam
+    return lam, cur / lam, h, e, W
+
+
+def _one_cycle(X, alpha, lam, u, v, s2, h, e, ortho_u, ortho_v, eps):
+    W = weights(e, s2, alpha)
+    lam, u, h, e, W = _half_step(X, W, e, h, lam * u, v, s2, alpha, True,
+                                 ortho_u)
+    lam, v, h, e, W = _half_step(X, W, e, h, lam * v, u, s2, alpha, False,
+                                 ortho_v)
     s2_c = _sigma_solve(e, s2, alpha, max(eps, SIG_CAP * s2), W)[0]
     h_c = h_value(e, s2_c, alpha)
     if h_c <= h:
@@ -357,25 +374,19 @@ def _newton_polish(X, lam, u, v, s2, alpha, eps):
         B = (z / np.linalg.norm(z))[:, None]
         g = np.concatenate([ga, gb, [gt, 0.0]])
         cap = 1e-3 * (1.0 + max(np.max(np.abs(a)), np.max(np.abs(b)), abs(t)))
-        ok = False
         for _try in range(12):
+            # a try that does not solve, leaves the trust cap (a NaN step
+            # fails the comparison) or raises h is damped
             d = _solve_bordered(Da, Db, M, wa, wb, htt, B, g, tau)
-            if d is None:
-                tau = max(10.0 * tau, 1e-8 * (1.0 + abs(htt)))
-                continue
-            dn = np.max(np.abs(d))
-            if not np.isfinite(dn) or dn > cap:
-                tau = max(10.0 * tau, 1e-8 * (1.0 + abs(htt)))
-                continue
-            an = a + d[:n]
-            bn = b + d[n:n + p]
-            tn = max(t + d[dim - 1], t_floor)
-            hn = h_value(X - np.outer(an, bn), np.exp(tn), alpha)
-            if np.isfinite(hn) and hn <= h + 1e-14 * (1.0 + abs(h)):
-                ok = True
-                break
+            if d is not None and np.max(np.abs(d)) <= cap:
+                an = a + d[:n]
+                bn = b + d[n:n + p]
+                tn = max(t + d[dim - 1], t_floor)
+                hn = h_value(X - np.outer(an, bn), np.exp(tn), alpha)
+                if np.isfinite(hn) and hn <= h + 1e-14 * (1.0 + abs(h)):
+                    break
             tau = max(10.0 * tau, 1e-8 * (1.0 + abs(htt)))
-        if not ok:
+        else:
             break
         step = max(np.max(np.abs(an - a)) / (1.0 + np.max(np.abs(a))),
                    np.max(np.abs(bn - b)), abs(tn - t))
@@ -447,6 +458,9 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
         return np.concatenate([(lam / scale) * u, v, [np.log(s2)]])
 
     def unpack(th):
+        # the extrapolation's coefficients amplify rounding, so its point is
+        # projected again: without this, study batch 3, replicate 1, alpha
+        # 1 ends at max |U'U - I| = 7.5e-10
         a = _project(th[:n] * scale, ortho_u)
         vv = _project(th[n:n + p], ortho_v)
         with np.errstate(over="ignore"):
@@ -457,12 +471,7 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
             return None
         return start(la * nv, a / la, vv / nv, max(s2x, eps))
 
-    policy = opts.init if isinstance(opts.init, str) else None
-    if policy is None:
-        lam, u, v, s2 = _fit_state(opts.init)
-        st = start(lam, u, v, max(s2, eps))
-    else:
-        st = start(*_init(X, policy, eps, opts.seed, ortho_u, ortho_v))
+    st = start(*_init(X, opts.init, eps, opts.seed, ortho_u, ortho_v))
     trace = [st[4]]
     converged = False
     restarted = False
@@ -492,7 +501,7 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
                     if acc is not None and acc[4] < st[4]:
                         st = acc
         lam, u, v, s2, h, _ = st
-        if lam > lam_cap and not restarted and policy == "screened":
+        if lam > lam_cap and not restarted and opts.init == "screened":
             # the screened basin blew past the data's top singular value
             restarted = True
             st = start(*_init(X, "classical", eps, None, ortho_u, ortho_v))
@@ -650,10 +659,7 @@ def _matched_fit_pair(X, opts, transform_X, transform_state):
     if opts.init in ("screened", "classical"):
         opts_t = opts
     else:
-        if opts.init == "random":
-            st = _init(X, "random", sigma_floor(X, opts.eps_sigma), opts.seed)
-        else:
-            st = _fit_state(opts.init)
+        st = _init(X, opts.init, sigma_floor(X, opts.eps_sigma), opts.seed)
         opts_t = replace(opts, init=transform_state(st))
     other = fit_rank1(transform_X(X), opts_t)
     return base, other

@@ -107,6 +107,14 @@ class TestDecompose:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_positive_eps_sigma_exits_2(self, truth_csv, tmp_path, capsys):
+        code = run(["decompose", "--input", truth_csv,
+                    "--output", tmp_path / "o", "--rank", "1",
+                    "--eps-sigma", "0"])
+        assert code == 2
+        assert ("eps_sigma must be a finite positive number"
+                in capsys.readouterr().err)
+
     def test_missing_input_exits_2(self, tmp_path):
         assert run(["decompose", "--input", tmp_path / "nope.csv",
                     "--output", tmp_path / "o", "--rank", "1"]) == 2

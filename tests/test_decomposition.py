@@ -142,9 +142,10 @@ class TestFitSvd:
             "converging" for k in range(3)]
         assert all(w.category is RuntimeWarning for w in caught)
 
-    def test_zero_matrix_raises_typed_rank_collapse(self):
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_zero_matrix_raises_typed_rank_collapse(self, alpha):
         with pytest.raises(RankCollapse, match="layer 0: rank collapse"):
-            fit_svd(np.zeros((5, 4)), 2)
+            fit_svd(np.zeros((5, 4)), 2, SolverOptions(alpha=alpha))
         assert issubclass(RankCollapse, FloatingPointError)
 
     def test_layer_annotated_failure(self, monkeypatch):
@@ -186,6 +187,20 @@ class TestPolishRule:
         assert layer0.trace.size == layer0.iterations + 2
         for d in dec.diagnostics[1:]:
             assert d.trace.size == d.iterations + 1
+
+
+class TestOrthogonality:
+    """Deflated layers stay orthogonal to machine precision."""
+
+    @pytest.mark.parametrize("batch, rep, alpha",
+                             [(3, 1, 1.0), (3, 3, 1.0), (2, 1, 0.5)])
+    def test_layers_orthonormal_to_machine_precision(self, batch, rep, alpha):
+        X = (make_ground_truth().X0
+             + sample_noise("S2c", np.random.default_rng([batch, rep]))[0])
+        dec = fit_svd(X, 4, SolverOptions(alpha=alpha))
+        eye = np.eye(4)
+        assert np.max(np.abs(dec.U.T @ dec.U - eye)) <= 1e-13
+        assert np.max(np.abs(dec.V.T @ dec.V - eye)) <= 1e-13
 
 
 class TestHelpers:

@@ -341,7 +341,9 @@ class TestUpdateSigma2:
 class TestSolverOptions:
     @pytest.mark.parametrize("kw", [dict(alpha=-0.1), dict(alpha=8.5),
                                     dict(tol=0.0), dict(tol=-1e-8),
-                                    dict(max_iter=0), dict(init="weird")])
+                                    dict(max_iter=0), dict(init="weird"),
+                                    dict(eps_sigma=0.0), dict(eps_sigma=-1.0),
+                                    dict(eps_sigma=float("nan"))])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             SolverOptions(**kw)
@@ -492,9 +494,10 @@ class TestFitRank1:
         with pytest.raises(ValueError):
             fit_rank1(np.ones((5, 1)))
 
-    def test_zero_matrix_raises_rank_collapse(self):
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_zero_matrix_raises_rank_collapse(self, alpha):
         with pytest.raises(RankCollapse, match="rank collapse"):
-            fit_rank1(np.zeros((4, 3)))
+            fit_rank1(np.zeros((4, 3)), SolverOptions(alpha=alpha))
 
 
 class TestClassicalClosedForm:
