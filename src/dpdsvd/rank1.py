@@ -4,7 +4,11 @@ The estimator minimizes the density power divergence objective h (see
 objective.py) over (lambda, u, v, sigma2) with unit-norm u, v. Each outer
 iteration runs a row regression for u, a column regression for v (both
 backtracked so h never increases; one function, _half_step, does either),
-and a self-consistent scale update. The column regression is the row
+and a self-consistent scale update. The backtracking halves a step only
+while its predicted decrease of h, the step length times the slope of h
+toward the target, stays above h's rounding; the slope comes from the
+regression's own denominators, since the gradient of h is a weighted
+residual of the regression. The column regression is the row
 regression of the transposed problem. After a warm-up the iteration is
 accelerated by squared extrapolation of the fixed-point map (SQUAREM),
 and every accelerated state is re-checked against h.
@@ -40,6 +44,7 @@ PLAIN_FIRST = 10       # plain cycles before extrapolation kicks in
 SIG_CAP = 0.5          # sigma^2 may shrink at most 2x per outer iteration
 SPIKE_FACTOR = 4.0     # restart when lambda exceeds this multiple of sigma_1
 SCREEN_K = 2.0         # init screening threshold in robust sd units
+STALL_RTOL = 4e-16     # halve only while the predicted drop of h > this * |h|
 INIT_POLICIES = ("screened", "classical", "random")
 
 
@@ -88,8 +93,15 @@ class SolverOptions:
         self.max_iter = int(self.max_iter)
         if isinstance(self.init, str) and self.init not in INIT_POLICIES:
             raise ValueError(f"unknown init policy {self.init!r}")
-        if self.eps_sigma is not None and not (0.0 < self.eps_sigma < np.inf):
-            raise ValueError("eps_sigma must be a finite positive number")
+        if self.eps_sigma is not None:
+            _check_eps(self.eps_sigma)
+
+
+def _check_eps(eps):
+    """eps as a float; ValueError unless it is finite and positive."""
+    if not 0.0 < eps < np.inf:
+        raise ValueError("eps_sigma must be a finite positive number")
+    return float(eps)
 
 
 def _project(w, ortho):
@@ -226,31 +238,57 @@ def _regress(X, W, w, what):
     """Weighted least squares coefficient of each row of X on w.
 
     Row i gets [sum_j w_j X_ij W_ij] / [sum_j w_j^2 W_ij]; the column
-    regression is this one on X.T and W.T.
+    regression is this one on X.T and W.T. Returns (coef, den), den the
+    denominators.
     """
     den = W @ (w * w)
     if np.any(den <= 1e-300):
         raise DegenerateWeights(f"all {what} weights collapsed")
-    return ((X * W) @ w) / den
+    return ((X * W) @ w) / den, den
+
+
+def _target(X, W, cur, other, s2, alpha, ortho, what):
+    """Projected regression target of a half-step and the slope toward it.
+
+    The target is the row regression of X on other (_regress), projected
+    onto the constraints. With raw the unprojected coefficients, the
+    gradient of h in cur is -k den (raw - cur), because (W e) other =
+    den (raw - cur) row by row; k = sigma2^(-alpha/2) (1+alpha) / (N
+    sigma2) and N the number of cells. So the decrease rate of h at cur
+    along d = target - cur is gain = k (den (raw - cur)) . d. Without
+    constraints gain = k sum den (raw - cur)^2 >= 0 (an MM step); a
+    projected target can make it <= 0, an uphill direction.
+
+    Returns (target, gain).
+    """
+    raw, den = _regress(X, W, other, what)
+    target = _project(raw, ortho)
+    k = s2 ** (-alpha / 2.0) * (1.0 + alpha) / (X.size * s2)
+    return target, k * float((den * (raw - cur)) @ (target - cur))
 
 
 def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
     """One regression half-step: the row (left) or column update of cur.
 
     The target is the weighted regression of X (X.T for columns) on other
-    with the weights W, projected onto the constraints; cur moves toward
-    it, halving the step until h strictly decreases, and stays put after
-    40 halvings. Every point between cur and the target satisfies the
-    constraints, so the candidates are not projected again. e, W and h
-    belong to cur.
+    with the weights W, projected onto the constraints (_target). cur
+    moves toward it: the full step is always tried, since h is not
+    convex, and the step is halved until h strictly decreases. Halving
+    stops once the step t can no longer lower h by more than rounding,
+    t gain <= STALL_RTOL |h| with gain the decrease rate of h along the
+    step, so an uphill target (gain <= 0) costs one try; 40 tries is a
+    guard. A step that finds no decrease leaves cur where it was. Every
+    point between cur and the target satisfies the constraints, so the
+    candidates are not projected again. e, W and h belong to cur.
 
     Returns (length, unit direction, h, residuals, weights) at the point
     reached. Raises RankCollapse at length 0.
     """
     if left:
-        target = _project(_regress(X, W, other, "row"), ortho)
+        target, gain = _target(X, W, cur, other, s2, alpha, ortho, "row")
     else:
-        target = _project(_regress(X.T, W.T, other, "column"), ortho)
+        target, gain = _target(X.T, W.T, cur, other, s2, alpha, ortho,
+                               "column")
     t = 1.0
     for _ in range(40):
         cand = cur + t * (target - cur)
@@ -261,6 +299,8 @@ def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
             cur, h, e, W = cand, h_c, e_c, W_c
             break
         t *= 0.5
+        if t * gain <= STALL_RTOL * abs(h):
+            break
     lam = np.linalg.norm(cur)
     if lam <= 0:
         raise RankCollapse("rank collapse")
@@ -403,9 +443,12 @@ def _newton_polish(X, lam, u, v, s2, alpha, eps):
 
 
 def sigma_floor(X, eps_sigma=None):
-    """sigma^2 floor: explicit override or 1e-10 max(1, mean X^2)."""
+    """sigma^2 floor: explicit override or 1e-10 max(1, mean X^2).
+
+    Raises ValueError unless an override is finite and positive.
+    """
     if eps_sigma is not None:
-        return float(eps_sigma)
+        return _check_eps(eps_sigma)
     return 1e-10 * max(1.0, float(np.mean(X * X)))
 
 
@@ -595,7 +638,7 @@ def _regress_fixpoint(X, a, w, s2, alpha, what):
     """Row regression of X on w, repeated until its weights agree with a."""
     for _ in range(100):
         W = weights(X - np.outer(a, w), s2, alpha)
-        a_new = _regress(X, W, w, what)
+        a_new = _regress(X, W, w, what)[0]
         done = np.max(np.abs(a_new - a)) <= 1e-13 * (1.0 + np.max(np.abs(a_new)))
         a = a_new
         if done:
@@ -635,16 +678,15 @@ def update_sigma2(residuals, sigma2_prev, alpha, eps=1e-10):
     the fixpoint of that update, clamped to >= eps. Returns (sigma2,
     degenerate): when the denominator is not positive at sigma2_prev the
     update has no positive value, the previous value is carried forward
-    and degenerate is True.
+    and degenerate is True. Raises ValueError unless sigma2_prev is
+    positive and eps finite and positive.
     """
     al = check_alpha(alpha)
     e = np.asarray(residuals, dtype=float)
     s2 = float(sigma2_prev)
     if not s2 > 0.0:
         raise ValueError("sigma2_prev must be positive")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    return _sigma_solve(e, s2, al, eps)
+    return _sigma_solve(e, s2, al, _check_eps(eps))
 
 
 def _matched_fit_pair(X, opts, transform_X, transform_state):

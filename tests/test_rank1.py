@@ -147,6 +147,73 @@ class TestRegressionUpdates:
             update(X, fit, 0.5)
 
 
+def half_step_problem(seed, constrained):
+    """Row half-step input (X, cur, other, s2 = 0.5, ortho) on a 12x5 planted
+    rank-2 matrix with 15% of its cells set to 5: the layer-1 start
+    (ortho None) or, with the top left singular vector as the constraint,
+    the layer-2 start."""
+    rng = np.random.default_rng(seed)
+    U0 = np.linalg.qr(rng.standard_normal((12, 2)))[0]
+    V0 = np.linalg.qr(rng.standard_normal((5, 2)))[0]
+    X = (U0 * [6.0, 3.0]) @ V0.T + 0.3 * rng.standard_normal((12, 5))
+    X[rng.random((12, 5)) < 0.15] = 5.0
+    Uc, s, Vt = np.linalg.svd(X, full_matrices=False)
+    k = 1 if constrained else 0
+    ortho = Uc[:, :1] if constrained else None
+    return X, s[k] * Uc[:, k], Vt[k], 0.5, ortho
+
+
+class TestHalfStep:
+    @pytest.mark.parametrize("seed, alpha", [(5, 0.1), (5, 0.5), (5, 1.0),
+                                             (5, 3.0), (38, 3.0)])
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_gain_is_the_slope_of_h(self, seed, alpha, constrained):
+        """gain is -dh/dt at t = 0 along target - cur, to 1e-7 of a
+        central difference; seed 38 with the constraint is uphill."""
+        X, cur, other, s2, ortho = half_step_problem(seed, constrained)
+        W = rank1.weights(X - np.outer(cur, other), s2, alpha)
+        target, gain = rank1._target(X, W, cur, other, s2, alpha, ortho,
+                                     "row")
+        d = target - cur
+        if ortho is not None:
+            assert abs(float(ortho[:, 0] @ target)) < 1e-12
+        if seed == 38 and constrained:
+            assert gain < 0
+        else:
+            assert gain > 0
+
+        def h_at(t):
+            return h_value(X - np.outer(cur + t * d, other), s2, alpha)
+
+        fd = -(h_at(1e-5) - h_at(-1e-5)) / 2e-5
+        assert gain == pytest.approx(fd, rel=1e-7)
+
+    def test_uphill_target_stalls_after_one_try(self, monkeypatch):
+        """A projected target along which h rises costs one weights pass,
+        and the half-step hands back the residuals, weights and h it was
+        given."""
+        X, cur, other, s2, ortho = half_step_problem(38, True)
+        alpha = 3.0
+        e = X - np.outer(cur, other)
+        W = rank1.weights(e, s2, alpha)
+        h = h_value(e, s2, alpha, W)
+        assert rank1._target(X, W, cur, other, s2, alpha, ortho, "row")[1] < 0
+        count = [0]
+        weights = rank1.weights
+
+        def counted(*args):
+            count[0] += 1
+            return weights(*args)
+
+        monkeypatch.setattr(rank1, "weights", counted)
+        lam, u, h_out, e_out, W_out = rank1._half_step(
+            X, W, e, h, cur, other, s2, alpha, True, ortho)
+        assert count[0] == 1
+        assert e_out is e and W_out is W
+        assert h_out == h
+        np.testing.assert_allclose(lam * u, cur, rtol=0, atol=1e-15)
+
+
 def scale_map(e, s, alpha):
     """(T(s), den(s)) of the scale equation s = T(s), computed directly."""
     w = np.exp(-alpha * e * e / (2.0 * s))
@@ -194,6 +261,9 @@ def scale_problems(draw):
     return e * 10.0 ** k, s0, alpha, lo
 
 
+BAD_FLOORS = [0.0, -1.0, float("nan"), float("inf")]
+
+
 class TestUpdateSigma2:
     def test_alpha_zero_is_mean_square(self):
         rng = np.random.default_rng(4)
@@ -232,9 +302,15 @@ class TestUpdateSigma2:
         with pytest.raises(ValueError):
             update_sigma2(np.ones(4), -1.0, 0.0)
 
-    def test_rejects_nonpositive_floor(self):
-        with pytest.raises(ValueError):
-            update_sigma2(np.ones(4), 1.0, 0.5, eps=0.0)
+    @pytest.mark.parametrize("eps", BAD_FLOORS)
+    def test_rejects_nonpositive_floor(self, eps):
+        with pytest.raises(ValueError, match="finite positive"):
+            update_sigma2(np.ones((3, 3)), 1.0, 0.5, eps=eps)
+
+    @pytest.mark.parametrize("eps", BAD_FLOORS)
+    def test_sigma_floor_rejects_bad_override(self, eps):
+        with pytest.raises(ValueError, match="finite positive"):
+            sigma_floor(np.ones((3, 3)), eps)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(scale_problems())
