@@ -20,6 +20,7 @@ from dpdsvd import (
     sorted_by_lambda,
 )
 from dpdsvd.objective import h_value
+from dpdsvd.rank1 import SPIKE_FACTOR
 from dpdsvd.sim import make_ground_truth, sample_noise
 
 
@@ -248,6 +249,68 @@ class TestLayerwiseEquivariance:
             for c in (3.0, -2.0):
                 db = fit_svd(c * X, 3, opts)
                 assert self._deviation(da, db, c) <= tol
+
+
+def tampered_video(frames=(), rows=()):
+    """A 1200-pixel x 80-frame video: a rank-1 background (pixel levels
+    uniform on [0, 10], frame gains 1 + 0.05 N(0, 1)) plus 0.1 N(0, 1)
+    noise, with whole frames (columns) or stuck pixels (rows) set to 25.
+    Returns (X, background, mask of the untouched cells)."""
+    rng = np.random.default_rng(0)
+    level = rng.uniform(0.0, 10.0, 1200)
+    gain = 1.0 + 0.05 * rng.standard_normal(80)
+    B = np.outer(level, gain)
+    X = B + 0.1 * rng.standard_normal(B.shape)
+    clean = np.ones(B.shape, dtype=bool)
+    clean[:, list(frames)] = False
+    clean[list(rows), :] = False
+    X[~clean] = 25.0
+    return X, B, clean
+
+
+class TestWholeFrameOutliers:
+    """A tampered frame or a stuck pixel lies so far from the fit that all
+    its weights underflow; the fit refits that column or row at rescaled
+    weights instead of raising DegenerateWeights."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("frames, rows", [
+        pytest.param((7,), (), id="1-frame"),
+        pytest.param((3, 20, 41, 66), (), id="4-frames"),
+        pytest.param(tuple(range(5, 80, 10)), (), id="8-frames"),
+        pytest.param((), (1, 100, 400, 800, 1100), id="5-rows"),
+    ])
+    def test_tampered_video_fits(self, frames, rows, alpha):
+        X, B, clean = tampered_video(frames, rows)
+
+        def background_error(dec):
+            F = dec.lambdas[0] * np.outer(dec.U[:, 0], dec.V[:, 0])
+            return np.linalg.norm((F - B)[clean]) / np.linalg.norm(B[clean])
+
+        dec = fit_svd(X, 1, SolverOptions(alpha=alpha))
+        d = dec.diagnostics[0]
+        assert d.converged
+        assert np.all(np.diff(d.trace) <= 1e-10)
+        err, err_classical = background_error(dec), background_error(
+            fit_svd(X, 1))
+        # 5 stuck pixels of 1200 barely move the classical fit (4.1e-3
+        # against 2.2e-3 to 2.5e-3), so only the frames clear a tenth
+        assert err < (0.1 if frames else 1.0) * err_classical
+
+
+class TestDriftingFirstLayer:
+    @pytest.mark.xfail(reason="layer 0 drifts unconverged for 100 "
+                              "iterations, then the Newton polish jumps to "
+                              "lambda_1 = 597.4 against sigma_1 = 52.3",
+                       strict=True)
+    def test_first_layer_stays_below_the_spike_cap(self):
+        rng = np.random.default_rng([1076676197, 2])
+        X = make_ground_truth().X0 + sample_noise("S2c", rng)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            dec = fit_svd(X, 4, SolverOptions(alpha=1.0))
+        sig1 = np.linalg.svd(X, compute_uv=False)[0]
+        assert dec.lambdas[0] <= SPIKE_FACTOR * sig1
 
 
 @st.composite
