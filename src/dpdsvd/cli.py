@@ -1,10 +1,11 @@
 """Command line front end: decompose a CSV matrix, run the simulation
 study, or run the timing benchmark.
 
-Exit codes: 0 success, 2 invalid arguments or malformed input, 3 solver
-degeneracy. Anticipated errors print a one-line message on standard
-error. The environment variable RSVD_SEED supplies a fallback seed when
---seed is not given.
+Exit codes: 0 success, 2 invalid arguments, malformed input or an
+unwritable output path, 3 solver degeneracy. Anticipated errors print a
+one-line message on standard error. The environment variable RSVD_SEED
+supplies a fallback seed when --seed is not given; an RSVD_SEED that is
+not an integer exits 2.
 """
 import argparse
 import json
@@ -50,21 +51,30 @@ _float_list = _list_of(float, "float")
 _int_list = _list_of(int, "integer")
 
 
-def _env_seed():
+def _seed(args):
+    """--seed, else RSVD_SEED, else None; a malformed RSVD_SEED is a
+    ValueError."""
     raw = os.environ.get("RSVD_SEED")
-    if raw is None:
-        return None
+    if args.seed is not None or raw is None:
+        return args.seed
     try:
         return int(raw)
     except ValueError:
-        return None
+        raise ValueError(f"RSVD_SEED must be an integer, got {raw!r}") from None
+
+
+def _open_output(path):
+    """path opened for writing; an OSError becomes a ValueError."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _solver_options(args):
-    seed = args.seed if args.seed is not None else _env_seed()
     return SolverOptions(alpha=args.alpha, tol=args.tol,
                          max_iter=args.max_iter, eps_sigma=args.eps_sigma,
-                         init=args.init, seed=seed)
+                         init=args.init, seed=_seed(args))
 
 
 def _float_cell(x):
@@ -110,32 +120,31 @@ def cmd_decompose(args):
     except ValueError as exc:
         return _fail(f"malformed CSV in {args.input}: {exc}", 2)
     try:
-        opts = _solver_options(args)
-        dec = fit_svd(X, args.rank, opts)
+        dec = fit_svd(X, args.rank, _solver_options(args))
+        fh = _open_output(args.output)
     except FloatingPointError as exc:
         return _fail(f"solver degeneracy: {exc}", 3)
     except ValueError as exc:
         return _fail(str(exc), 2)
-    text = (_decomposition_json(dec) if args.format == "json"
-            else _decomposition_csv(dec))
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with fh:
+        fh.write(_decomposition_json(dec) if args.format == "json"
+                 else _decomposition_csv(dec))
     return 0
 
 
 def cmd_simulate(args):
-    seed = args.seed if args.seed is not None else _env_seed()
-    if seed is None:
-        seed = 42
     replicates = FULL_REPLICATES if args.full_scale else (
         args.replicates if args.replicates is not None else DEFAULT_REPLICATES)
     try:
+        seed = _seed(args)
         cfg = SimConfig(setup=args.setup, replicates=replicates,
-                        alphas=args.alphas, seed=seed)
+                        alphas=args.alphas, seed=42 if seed is None else seed)
+        # opened before the run, so a bad path fails before any replicate
+        fh = _open_output(args.output)
     except ValueError as exc:
         return _fail(str(exc), 2)
-    report = run_simulation(cfg, threads=args.threads)
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with fh:
+        report = run_simulation(cfg, threads=args.threads)
         fh.write(report_to_csv(report))
     sys.stdout.write(format_table(report))
     return 0

@@ -13,10 +13,8 @@ Which fit is returned at alpha > 0: layer 0 is unconstrained and is
 Newton-polished to the exact stationary point of h. Layers 1.. stop where
 projected descent stalls (a projected regression target need not lower
 h) and are not polished, so they are near, not at, the constrained
-stationary point. Polishing them with the orthogonality constraints as
-Lagrange borders was measured harmful: on the benchmark's 2000x200
-rank-3 fit it moved layer 3's lambda to -1.85% of planted and slowed the
-fit from 10.6 s to 14.7 s.
+stationary point (rank1._solve holds this rule and the measurement
+behind it).
 """
 from dataclasses import dataclass
 

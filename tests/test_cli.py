@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from dpdsvd import cli
 from dpdsvd.cli import main
 from dpdsvd.sim import make_ground_truth
 
@@ -131,6 +132,22 @@ class TestDecompose:
         assert run(["decompose", "--input", path,
                     "--output", tmp_path / "o", "--rank", "1"]) == 2
 
+    def test_unwritable_output_exits_2(self, truth_csv, tmp_path, capsys):
+        out = tmp_path / "missing" / "dec.json"
+        assert run(["decompose", "--input", truth_csv, "--output", out,
+                    "--rank", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dpdsvd: error: cannot write")
+        assert len(err.splitlines()) == 1
+
+    def test_malformed_env_seed_exits_2(self, truth_csv, tmp_path, capsys,
+                                        monkeypatch):
+        monkeypatch.setenv("RSVD_SEED", "abc")
+        assert run(["decompose", "--input", truth_csv,
+                    "--output", tmp_path / "o", "--rank", "1",
+                    "--alpha", "0.5"]) == 2
+        assert "RSVD_SEED must be an integer" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_csv_and_prints_table(self, tmp_path, capsys):
@@ -158,6 +175,24 @@ class TestSimulate:
         assert run(["simulate", "--setup", "S1", "--replicates", "2",
                     "--alphas", "0.5", "--output", out]) == 0
         assert "seed 7" in capsys.readouterr().out
+
+    def test_malformed_env_seed_exits_2(self, tmp_path, capsys,
+                                        monkeypatch):
+        monkeypatch.setenv("RSVD_SEED", "abc")
+        assert run(["simulate", "--setup", "S1", "--replicates", "2",
+                    "--alphas", "0.5", "--output", tmp_path / "r.csv"]) == 2
+        assert "RSVD_SEED must be an integer" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_2_before_the_run(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the simulation ran")
+        monkeypatch.setattr(cli, "run_simulation", no_run)
+        assert run(["simulate", "--setup", "S1", "--replicates", "2",
+                    "--output", tmp_path / "missing" / "r.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dpdsvd: error: cannot write")
+        assert len(err.splitlines()) == 1
 
     def test_explicit_seed_beats_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RSVD_SEED", "7")
