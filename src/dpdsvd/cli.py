@@ -116,17 +116,11 @@ def cmd_decompose(args):
         X = np.loadtxt(args.input, delimiter=",",
                        skiprows=1 if args.header else 0, ndmin=2)
     except OSError as exc:
-        return _fail(f"cannot read {args.input}: {exc}", 2)
+        raise ValueError(f"cannot read {args.input}: {exc}") from None
     except ValueError as exc:
-        return _fail(f"malformed CSV in {args.input}: {exc}", 2)
-    try:
-        dec = fit_svd(X, args.rank, _solver_options(args))
-        fh = _open_output(args.output)
-    except FloatingPointError as exc:
-        return _fail(f"solver degeneracy: {exc}", 3)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    with fh:
+        raise ValueError(f"malformed CSV in {args.input}: {exc}") from None
+    dec = fit_svd(X, args.rank, _solver_options(args))
+    with _open_output(args.output) as fh:
         fh.write(_decomposition_json(dec) if args.format == "json"
                  else _decomposition_csv(dec))
     return 0
@@ -135,15 +129,11 @@ def cmd_decompose(args):
 def cmd_simulate(args):
     replicates = FULL_REPLICATES if args.full_scale else (
         args.replicates if args.replicates is not None else DEFAULT_REPLICATES)
-    try:
-        seed = _seed(args)
-        cfg = SimConfig(setup=args.setup, replicates=replicates,
-                        alphas=args.alphas, seed=42 if seed is None else seed)
-        # opened before the run, so a bad path fails before any replicate
-        fh = _open_output(args.output)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    with fh:
+    seed = _seed(args)
+    cfg = SimConfig(setup=args.setup, replicates=replicates,
+                    alphas=args.alphas, seed=42 if seed is None else seed)
+    # opened before the run, so a bad path fails before any replicate
+    with _open_output(args.output) as fh:
         report = run_simulation(cfg, threads=args.threads)
         fh.write(report_to_csv(report))
     sys.stdout.write(format_table(report))
@@ -151,11 +141,8 @@ def cmd_simulate(args):
 
 
 def cmd_bench(args):
-    try:
-        result = run_timing_bench(args.rows, args.cols, args.alphas,
-                                  reps=args.reps)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    result = run_timing_bench(args.rows, args.cols, args.alphas,
+                              reps=args.reps)
     sys.stdout.write(bench_to_csv(result))
     return 0
 
@@ -206,5 +193,11 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; returns its exit code (module docstring)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FloatingPointError as exc:
+        return _fail(f"solver degeneracy: {exc}", 3)
+    except ValueError as exc:
+        return _fail(str(exc), 2)

@@ -2,17 +2,17 @@
 
 Each layer solves the rank-one problem on the running residual (the data
 minus all previously fitted layers) with its singular vectors constrained
-orthogonal to those of the previous layers; the constraint is enforced by
-projecting the start, each regression target and each extrapolated state
-onto the orthogonal complement (a backtracked step between two feasible
-points needs no projection). At alpha = 0 these layers are the singular triples of X,
-so they are computed in closed form from one SVD instead. Layers are
-returned in fit order (no sorting); sorted_by_lambda reorders on request.
+orthogonal to those of the previous layers (rank1 describes how the
+constraint is enforced). At alpha = 0 these layers are the singular
+triples of X, so they are computed in closed form from one SVD instead.
+Layers are returned in fit order (no sorting); sorted_by_lambda reorders
+on request.
 
-Which fit is returned at alpha > 0: layer 0 is unconstrained and is
-Newton-polished to the exact stationary point of h. Layers 1.. stop where
-projected descent stalls (a projected regression target need not lower
-h) and are not polished, so they are near, not at, the constrained
+Which fit is returned at alpha > 0: layer 0 is unconstrained and, once
+it converges, is Newton-polished to the exact stationary point of h; a
+layer 0 that stops at max_iter is returned unpolished. Layers 1.. stop
+where projected descent stalls (a projected regression target need not
+lower h) and are not polished, so they are near, not at, the constrained
 stationary point (rank1._solve holds this rule and the measurement
 behind it).
 """

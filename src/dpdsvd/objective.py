@@ -38,6 +38,26 @@ def weights(e, sigma2, alpha):
     return np.exp(-alpha * e * e / (2.0 * sigma2))
 
 
+def _check_sigma2(sigma2):
+    """sigma2 as a float array; ValueError unless every entry is positive."""
+    sigma2 = np.asarray(sigma2, dtype=float)
+    if np.any(sigma2 <= 0.0):
+        raise ValueError("sigma2 must be positive")
+    return sigma2
+
+
+def _cells(e, sigma2, alpha, W=None):
+    """Per-cell divergence at residuals e; W, if given, holds
+    weights(e, sigma2, alpha) already computed (alpha > 0 only)."""
+    if alpha == 0.0:
+        return e * e / (2.0 * sigma2) + 0.5 * np.log(sigma2)
+    c1 = (1.0 + alpha) ** -0.5
+    c2 = 1.0 + 1.0 / alpha
+    if W is None:
+        W = weights(e, sigma2, alpha)
+    return sigma2 ** (-alpha / 2.0) * (c1 - c2 * W)
+
+
 def v_cell(x, a, b, sigma2, alpha):
     """Per-cell divergence contribution for observed x under mean a*b.
 
@@ -47,32 +67,23 @@ def v_cell(x, a, b, sigma2, alpha):
     so the cell value at a perfect fit with unit variance is 0.
     """
     al = check_alpha(alpha)
-    sigma2 = np.asarray(sigma2, dtype=float)
-    if np.any(sigma2 <= 0.0):
-        raise ValueError("sigma2 must be positive")
+    sigma2 = _check_sigma2(sigma2)
     x = np.asarray(x, dtype=float)
     e = x - np.asarray(a, dtype=float) * np.asarray(b, dtype=float)
-    if al == 0.0:
-        out = e * e / (2.0 * sigma2) + 0.5 * np.log(sigma2)
-    else:
-        c1 = (1.0 + al) ** -0.5
-        c2 = 1.0 + 1.0 / al
-        out = sigma2 ** (-al / 2.0) * (c1 - c2 * np.exp(-al * e * e / (2.0 * sigma2)))
+    out = _cells(e, sigma2, al)
     return out if out.ndim else float(out)
 
 
 def h_value(e, sigma2, alpha, W=None):
     """Objective h: mean per-cell divergence for residual array e.
 
-    W, if given, holds weights(e, sigma2, alpha) already computed.
+    W, if given, holds weights(e, sigma2, alpha) already computed. At
+    alpha = 0 it is mean(e^2) / (2 sigma2) + log(sigma2) / 2, which takes
+    one pass over the cells where the mean of _cells takes three.
     """
     if alpha == 0.0:
         return float(np.mean(e * e) / (2.0 * sigma2) + 0.5 * np.log(sigma2))
-    c1 = (1.0 + alpha) ** -0.5
-    c2 = 1.0 + 1.0 / alpha
-    if W is None:
-        W = weights(e, sigma2, alpha)
-    return float(np.mean(sigma2 ** (-alpha / 2.0) * (c1 - c2 * W)))
+    return float(np.mean(_cells(e, sigma2, alpha, W)))
 
 
 def _fit_state(fit):
@@ -110,8 +121,5 @@ def objective(X, fit, alpha):
     al = check_alpha(alpha)
     X = np.asarray(X, dtype=float)
     lam, u, v, s2 = _fit_state(fit)
-    if s2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
-    ab = lam * np.outer(u, v)
-    per = v_cell(X, ab, 1.0, s2, al)
+    per = _cells(X - lam * np.outer(u, v), _check_sigma2(s2), al)
     return ObjectiveValue(h=float(np.mean(per)), per_cell=per)

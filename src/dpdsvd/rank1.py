@@ -25,9 +25,9 @@ so it is not projected again.
 Plain alternating descent stalls inside a float-flat region around the
 minimizer (step-to-step h differences underflow double precision long
 before the parameters agree to 1e-10 across equivalent problem instances),
-so an unconstrained fit is polished by a bordered Newton method with
-analytic derivatives, each step solved by Schur elimination of the
-diagonal row block; the polish lands on the exact stationary point at
+so an unconstrained fit that converged is polished by a bordered Newton
+method with analytic derivatives, each step solved by Schur elimination
+of the diagonal row block; the polish lands on the exact stationary point at
 float resolution, which makes independently computed fits of scaled or
 permuted data agree to machine precision.
 
@@ -536,7 +536,11 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
     callers can extend diagnostics.
 
     The fit is Newton-polished to the exact stationary point of h if and
-    only if it is unconstrained (ortho_u is None). A constrained layer's
+    only if it is unconstrained (ortho_u is None) and its iteration
+    converged. An unconverged first layer may still be drifting: on the
+    S2c replicate of default_rng([1076676197, 2]) at alpha 1 the polish
+    jumped from there to lambda 597.4, 11 times sigma_1, so such a layer
+    is returned as it stands and warns (_layer_fit). A constrained layer's
     projected regression targets are not descent steps, so its iteration
     stops where they stall, short of the constrained stationary point, and
     is returned as it stands. Polishing it with the orthogonality
@@ -631,7 +635,7 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
     lam, u, v, s2, h, _ = st
     st = prev = st1 = acc = None    # free their residuals before the polish
     u, v = _flip_sign(u, v)
-    if ortho_u is None:
+    if ortho_u is None and converged:
         lam, u, v, s2, h = _newton_polish(X, lam, u, v, s2, alpha, eps)
         trace.append(h)
     return dict(lam=float(lam), u=u, v=v, s2=float(s2), h=h, it=it_total,
@@ -703,8 +707,16 @@ def fit_rank1(X, opts=None):
     return _layer_fit(f, 0)
 
 
-def _regress_fixpoint(X, a, w, s2, alpha, what):
-    """Row regression of X on w, repeated until its weights agree with a."""
+def _regress_fixpoint(X, fit, alpha, left):
+    """Row (left) or column regression of X at the fit's other vector and
+    sigma2, repeated until its weights agree with the coefficients."""
+    alpha = check_alpha(alpha)
+    X = _check_input(X)
+    lam, u, v, s2 = _fit_state(fit)
+    if not 0.0 < s2 < np.inf:
+        raise ValueError("sigma2 must be finite and positive")
+    X, a, w, what = ((X, lam * u, v, "row") if left
+                     else (X.T, lam * v, u, "column"))
     for _ in range(100):
         W = weights(X - np.outer(a, w), s2, alpha)
         a_new = _regress(X, W, w, what)[0]
@@ -723,20 +735,16 @@ def update_u(X, fit, alpha):
     with w the robustness weights, iterated until the weights agree with
     the returned coefficients. Returns the unnormalized length-n vector.
 
-    Raises DegenerateWeights if a row's denominator falls to 1e-300.
+    Raises NonFiniteInput if X has a non-finite entry, ValueError unless
+    the fit's sigma2 is finite and positive, and DegenerateWeights if a
+    row's denominator falls to 1e-300.
     """
-    al = check_alpha(alpha)
-    X = np.asarray(X, dtype=float)
-    lam, u, v, s2 = _fit_state(fit)
-    return _regress_fixpoint(X, lam * u, v, s2, al, "row")
+    return _regress_fixpoint(X, fit, alpha, True)
 
 
 def update_v(X, fit, alpha):
     """Column-regression update, symmetric to update_u, using the fit's u."""
-    al = check_alpha(alpha)
-    X = np.asarray(X, dtype=float)
-    lam, u, v, s2 = _fit_state(fit)
-    return _regress_fixpoint(X.T, lam * v, u, s2, al, "column")
+    return _regress_fixpoint(X, fit, alpha, False)
 
 
 def update_sigma2(residuals, sigma2_prev, alpha, eps=1e-10):
@@ -747,65 +755,59 @@ def update_sigma2(residuals, sigma2_prev, alpha, eps=1e-10):
     the fixpoint of that update, clamped to >= eps. Returns (sigma2,
     degenerate): when the denominator is not positive at sigma2_prev the
     update has no positive value, the previous value is carried forward
-    and degenerate is True. Raises ValueError unless sigma2_prev is
-    positive and eps finite and positive.
+    and degenerate is True. Raises NonFiniteInput if a residual is not
+    finite, and ValueError unless sigma2_prev is positive and eps finite
+    and positive.
     """
     al = check_alpha(alpha)
     e = np.asarray(residuals, dtype=float)
+    if not np.all(np.isfinite(e)):
+        raise NonFiniteInput("residuals contain non-finite entries")
     s2 = float(sigma2_prev)
     if not s2 > 0.0:
         raise ValueError("sigma2_prev must be positive")
     return _sigma_solve(e, s2, al, _check_eps(eps))
 
 
-def _matched_fit_pair(X, opts, transform_X, transform_state):
-    """Fit X and its transform from matched starts; return both fits.
+def _transforms_fit(X, opts, tol, transform_X, transform_state):
+    """True iff fitting transform_X(X) gives transform_state of the fit of X
+    within tol.
 
-    The screened and classical policies derive their start from the data
-    and commute with scaling and permutation, so they are already matched.
-    Random or provided starts are transported through the transform.
+    The fits run from matched starts: the screened and classical policies
+    derive their start from the data and commute with scaling and
+    permutation; a random or provided start is transported through
+    transform_state, which maps (lambda, u, v, sigma2) to its transform.
+    Deviations are relative in lambda and sigma2 and absolute in the
+    vector components.
     """
+    if opts is None:
+        opts = SolverOptions()
     base = fit_rank1(X, opts)
     X = np.asarray(X, dtype=float)
-    if opts.init in ("screened", "classical"):
-        opts_t = opts
-    else:
+    if opts.init not in ("screened", "classical"):
         st = _init(X, opts.init, sigma_floor(X, opts.eps_sigma), opts.seed)
-        opts_t = replace(opts, init=transform_state(st))
-    other = fit_rank1(transform_X(X), opts_t)
-    return base, other
-
-
-def _fit_deviation(got, want):
-    lam, u, v, s2 = want
+        opts = replace(opts, init=transform_state(*st))
+    got = fit_rank1(transform_X(X), opts)
+    lam, u, v, s2 = transform_state(*_fit_state(base))
     return max(abs(got.lambda_ - lam) / (1.0 + abs(lam)),
                float(np.max(np.abs(got.u - u))),
                float(np.max(np.abs(got.v - v))),
-               abs(got.sigma2 - s2) / (1.0 + abs(s2)))
+               abs(got.sigma2 - s2) / (1.0 + abs(s2))) <= tol
 
 
 def check_equivariance_scale(X, c, opts=None, tol=1e-10):
     """True iff fitting c*X returns the scaled fit of X within tol.
 
-    Both fits run from matched initializations; the reference is
-    (|c| lambda, u, sign(c) v, c^2 sigma2) with the sign convention
-    applied. Deviations are relative in lambda and sigma2 and absolute
-    in the vector components.
+    The reference is (|c| lambda, u, sign(c) v, c^2 sigma2), which keeps
+    the sign convention; see _transforms_fit for the matched starts and
+    the deviations.
     """
     c = float(c)
     if c == 0.0:
         raise ValueError("c must be nonzero")
-    if opts is None:
-        opts = SolverOptions()
-    sgn = 1.0 if c > 0 else -1.0
-
-    def t_state(st):
-        lam, u, v, s2 = st
-        return (abs(c) * lam, u, sgn * v, c * c * s2)
-
-    base, other = _matched_fit_pair(X, opts, lambda A: c * A, t_state)
-    want = (abs(c) * base.lambda_, base.u, sgn * base.v, c * c * base.sigma2)
-    return _fit_deviation(other, want) <= tol
+    return _transforms_fit(
+        X, opts, tol, lambda A: c * A,
+        lambda lam, u, v, s2: (abs(c) * lam, u, np.sign(c) * v, c * c * s2))
 
 
 def check_equivariance_permutation(X, perm_rows, perm_cols, opts=None,
@@ -813,14 +815,6 @@ def check_equivariance_permutation(X, perm_rows, perm_cols, opts=None,
     """True iff fitting the row/column-permuted X permutes the fit of X."""
     pr = np.asarray(perm_rows, dtype=int)
     pc = np.asarray(perm_cols, dtype=int)
-    if opts is None:
-        opts = SolverOptions()
-
-    def t_state(st):
-        lam, u, v, s2 = st
-        return (lam, u[pr], v[pc], s2)
-
-    base, other = _matched_fit_pair(X, opts,
-                                    lambda A: A[np.ix_(pr, pc)], t_state)
-    want = (base.lambda_, base.u[pr], base.v[pc], base.sigma2)
-    return _fit_deviation(other, want) <= tol
+    return _transforms_fit(
+        X, opts, tol, lambda A: A[np.ix_(pr, pc)],
+        lambda lam, u, v, s2: (lam, u[pr], v[pc], s2))

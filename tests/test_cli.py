@@ -194,6 +194,20 @@ class TestSimulate:
         assert err.startswith("dpdsvd: error: cannot write")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("error, code", [(FloatingPointError, 3),
+                                             (ValueError, 2)])
+    def test_run_errors_map_to_exit_codes(self, tmp_path, capsys,
+                                          monkeypatch, error, code):
+        def failing_run(*args, **kwargs):
+            raise error("boom")
+        monkeypatch.setattr(cli, "run_simulation", failing_run)
+        assert run(["simulate", "--setup", "S1", "--replicates", "2",
+                    "--output", tmp_path / "r.csv"]) == code
+        err = capsys.readouterr().err
+        assert err == ("dpdsvd: error: "
+                       + ("solver degeneracy: " if code == 3 else "")
+                       + "boom\n")
+
     def test_explicit_seed_beats_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RSVD_SEED", "7")
         out = tmp_path / "rep.csv"

@@ -299,10 +299,6 @@ class TestWholeFrameOutliers:
 
 
 class TestDriftingFirstLayer:
-    @pytest.mark.xfail(reason="layer 0 drifts unconverged for 100 "
-                              "iterations, then the Newton polish jumps to "
-                              "lambda_1 = 597.4 against sigma_1 = 52.3",
-                       strict=True)
     def test_first_layer_stays_below_the_spike_cap(self):
         rng = np.random.default_rng([1076676197, 2])
         X = make_ground_truth().X0 + sample_noise("S2c", rng)[0]

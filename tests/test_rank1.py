@@ -147,6 +147,24 @@ class TestRegressionUpdates:
         with pytest.raises(DegenerateWeights):
             update(X, fit, 0.5)
 
+    @pytest.mark.parametrize("update, columns", OPERATORS)
+    def test_non_finite_input_raises(self, update, columns):
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((6, 4))
+        X[2, 1] = np.nan
+        fit = provided(1.0, unit(rng, 6), unit(rng, 4), 0.5)
+        with pytest.raises(NonFiniteInput):
+            update(X, fit, 0.5)
+
+    @pytest.mark.parametrize("s2", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("update, columns", OPERATORS)
+    def test_rejects_bad_sigma2(self, update, columns, s2):
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((6, 4))
+        fit = provided(1.0, unit(rng, 6), unit(rng, 4), s2)
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            update(X, fit, 0.5)
+
 
 def half_step_problem(seed, constrained):
     """Row half-step input (X, cur, other, s2 = 0.5, ortho) on a 12x5 planted
@@ -398,6 +416,15 @@ class TestUpdateSigma2:
         s2, degen = update_sigma2(np.full(10, 100.0), 1.0, 1.0)
         assert degen
         assert s2 == 1.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_residuals_raise(self, bad):
+        e = np.random.default_rng(17).standard_normal((6, 4))
+        e[3, 2] = bad
+        with pytest.raises(NonFiniteInput):
+            update_sigma2(e, 1.0, 0.5)
+        with pytest.raises(NonFiniteInput):
+            update_sigma2(np.full((6, 4), bad), 1.0, 0.5)
 
     def test_rejects_nonpositive_previous(self):
         with pytest.raises(ValueError):
