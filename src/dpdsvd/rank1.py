@@ -735,9 +735,9 @@ def update_u(X, fit, alpha):
     with w the robustness weights, iterated until the weights agree with
     the returned coefficients. Returns the unnormalized length-n vector.
 
-    Raises NonFiniteInput if X has a non-finite entry, ValueError unless
-    the fit's sigma2 is finite and positive, and DegenerateWeights if a
-    row's denominator falls to 1e-300.
+    Raises NonFiniteInput or ValueError for an X that fit_rank1 rejects,
+    ValueError unless the fit's sigma2 is finite and positive, and
+    DegenerateWeights if a row's denominator falls to 1e-300.
     """
     return _regress_fixpoint(X, fit, alpha, True)
 
