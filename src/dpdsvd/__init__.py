@@ -5,14 +5,14 @@ current scale, which keeps singular values and vectors stable under heavy
 contamination while staying close to the classical SVD on clean data.
 """
 from .bench import BenchResult, run_timing_bench
-from .decomposition import (RobustSvd, fit_svd, orthogonality_report,
-                            reconstruct, sorted_by_lambda)
+from .decomposition import (
+    RobustSvd, check_equivariance_permutation, check_equivariance_scale,
+    fit_rank1, fit_svd, orthogonality_report, reconstruct, sorted_by_lambda)
 from .errors import (DegenerateWeights, NonFiniteInput, RankCollapse,
                      RankTooLarge)
 from .objective import ObjectiveValue, objective, psi, v_cell
-from .rank1 import (Rank1Fit, SolverOptions, check_equivariance_permutation,
-                    check_equivariance_scale, fit_rank1, sigma_floor,
-                    update_sigma2, update_u, update_v)
+from .rank1 import (Rank1Fit, SolverOptions, sigma_floor, update_sigma2,
+                    update_u, update_v)
 from .sim import (GroundTruth, MethodResult, SimConfig, SimReport,
                   dissimilarity, format_table, make_ground_truth,
                   orthogonal_poly_contrasts, report_to_csv, run_simulation,

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rank1 import SolverOptions, fit_rank1
+from .decomposition import fit_rank1
+from .rank1 import SolverOptions
 
 
 @dataclass

@@ -180,7 +180,10 @@ def build_parser():
     sim.add_argument("--alphas", type=_float_list, default=(0.1, 0.5, 1.0))
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--output", default="sim_report.csv")
-    sim.add_argument("--threads", type=_positive_int, default=1)
+    sim.add_argument("--threads", type=_positive_int, default=1,
+                     help="replicate threads; results never depend on "
+                          "it, and with the GIL more threads are not "
+                          "faster")
     sim.set_defaults(func=cmd_simulate)
 
     ben = sub.add_parser("bench", help="run the timing benchmark")

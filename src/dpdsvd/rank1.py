@@ -1,4 +1,4 @@
-"""Rank-one robust SVD fit by alternating weighted regressions.
+"""The rank-one solver: a robust SVD layer by alternating weighted regressions.
 
 The estimator minimizes the density power divergence objective h (see
 objective.py) over (lambda, u, v, sigma2) with unit-norm u, v. Each outer
@@ -33,10 +33,11 @@ permuted data agree to machine precision.
 
 At alpha = 0 h is the Gaussian log-likelihood, whose minimizer is the top
 singular triple; that case is computed in closed form from one SVD
-(_classical_layers) and never reaches the iteration.
+(decomposition._classical_layers) and never reaches the iteration. The
+fit entry points and the layer loop that calls _solve are in
+decomposition.py.
 """
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,8 +76,9 @@ class SolverOptions:
     init selects the starting point: "screened" (default) takes the top
     SVD pair of an outlier-screened copy of the data; "classical" the top
     SVD pair of the data itself; "random" seeded random unit vectors
-    (set seed); a Rank1Fit or (lambda, u, v, sigma2) tuple is used as is.
-    eps_sigma overrides the sigma2 floor (default 1e-10 max(1, mean X^2)).
+    (set seed); a Rank1Fit or (lambda, u, v, sigma2) tuple is used as is,
+    once a fit has checked it (_init). eps_sigma overrides the sigma2
+    floor (default 1e-10 max(1, mean X^2)).
     At alpha = 0 the fit is one SVD in closed form: tol, max_iter, init
     and seed have no effect there (an init string is still validated).
     """
@@ -158,9 +160,24 @@ def _init(X, init, eps, seed=None, ortho_u=None, ortho_v=None):
     normal directions. The directions are projected onto the constraints
     and oriented; lambda is u'Mv on the matrix M they came from, and
     sigma2 a robust scale of the residuals.
+
+    A provided state raises NonFiniteInput unless its lambda, u and v are
+    finite, and ValueError unless u and v have X's row and column counts
+    and unit norm within 1e-8 and sigma2 is not NaN or infinite.
     """
     if not isinstance(init, str):
         lam, u, v, s2 = _fit_state(init)
+        if not (np.isfinite(lam) and np.all(np.isfinite(u))
+                and np.all(np.isfinite(v))):
+            raise NonFiniteInput("init has a non-finite lambda, u or v")
+        if u.shape != X.shape[:1] or v.shape != X.shape[1:]:
+            raise ValueError(f"init u and v must have lengths {X.shape[0]} "
+                             f"and {X.shape[1]}, got {u.shape} and {v.shape}")
+        if max(abs(np.linalg.norm(u) - 1.0),
+               abs(np.linalg.norm(v) - 1.0)) > 1e-8:
+            raise ValueError("init u and v must have unit norm")
+        if not np.isfinite(s2):
+            raise ValueError("init sigma2 must be finite")
         return lam, u, v, max(s2, eps)
     M = X
     if init == "random":
@@ -521,7 +538,9 @@ def sigma_floor(X, eps_sigma=None):
 
 
 def _check_input(X):
-    X = np.asarray(X, dtype=float)
+    """X as a C-ordered float array; raises ValueError unless it is 2-D
+    with at least 2 rows and 2 columns, NonFiniteInput unless finite."""
+    X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be a 2-D matrix")
     if not np.all(np.isfinite(X)):
@@ -540,14 +559,14 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
     converged. An unconverged first layer may still be drifting: on the
     S2c replicate of default_rng([1076676197, 2]) at alpha 1 the polish
     jumped from there to lambda 597.4, 11 times sigma_1, so such a layer
-    is returned as it stands and warns (_layer_fit). A constrained layer's
-    projected regression targets are not descent steps, so its iteration
-    stops where they stall, short of the constrained stationary point, and
-    is returned as it stands. Polishing it with the orthogonality
-    constraints as Lagrange borders was measured harmful: on the
-    benchmark's 2000x200 rank-3 fit it moved layer 3's lambda to -1.85% of
-    planted (outside the 1% check) and slowed the fit from 10.6 s to
-    14.7 s.
+    is returned as it stands and warns (decomposition._layers). A
+    constrained layer's projected regression targets are not descent
+    steps, so its iteration stops where they stall, short of the
+    constrained stationary point, and is returned as it stands.
+    Polishing it with the orthogonality constraints as Lagrange borders
+    was measured harmful: on the benchmark's 2000x200 rank-3 fit it moved
+    layer 3's lambda to -1.85% of planted (outside the 1% check) and
+    slowed the fit from 10.6 s to 14.7 s.
 
     The iterate is one tuple (lam, u, v, s2, h, e): the state, h there
     and the residuals.
@@ -643,70 +662,6 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
                 trace=np.array(trace, dtype=float))
 
 
-def _classical_layers(X, eps_sigma):
-    """Yield the alpha = 0 deflation layers of X in closed form, as the
-    results _layer_fit takes.
-
-    At alpha = 0 h is the Gaussian log-likelihood, so layer k is the k-th
-    singular triple of one SVD of X, with the sign convention. Its sigma2
-    is the mean square of the running residual after the layer, floored
-    at sigma_floor of the residual before it; it reports 0 iterations,
-    converged, and a one-entry trace, h at the fit. Raises RankCollapse
-    at a zero singular value.
-    """
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    E = X
-    for k in range(s.size):
-        if s[k] == 0.0:
-            raise RankCollapse("rank collapse")
-        u, v = _flip_sign(U[:, k].copy(), Vt[k].copy())
-        eps = sigma_floor(E, eps_sigma)
-        E = E - s[k] * np.outer(u, v)
-        s2 = max(float(np.mean(E * E)), eps)
-        yield dict(lam=float(s[k]), u=u, v=v, s2=s2, it=0, conv=True,
-                   trace=np.array([h_value(E, s2, 0.0)]))
-
-
-def _layer_fit(f, layer):
-    """The Rank1Fit of a _solve or _classical_layers result; one
-    RuntimeWarning if the layer stopped at max_iter before converging."""
-    if not f["conv"]:
-        warnings.warn(f"layer {layer}: stopped at max_iter after {f['it']} "
-                      "iterations without converging", RuntimeWarning,
-                      stacklevel=3)
-    return Rank1Fit(lambda_=f["lam"], u=f["u"], v=f["v"], sigma2=f["s2"],
-                    iterations=f["it"], converged=f["conv"], trace=f["trace"])
-
-
-def fit_rank1(X, opts=None):
-    """Fit the rank-one robust SVD model to X.
-
-    Parameters
-    ----------
-    X : (n, p) array, finite, min(n, p) >= 2
-    opts : SolverOptions, default SolverOptions()
-
-    Returns
-    -------
-    Rank1Fit. The trace of objective values is non-increasing; the fit
-    satisfies the unit-norm and sign conventions and sigma2 >= the floor.
-    A fit that stops at max_iter before converging warns (RuntimeWarning).
-    At alpha = 0 the fit is the top singular triple of X, computed in
-    closed form with 0 iterations and a one-entry trace.
-
-    Raises RankCollapse when the fitted singular value is 0, as for an
-    all-zero matrix.
-    """
-    X = _check_input(X)
-    if opts is None:
-        opts = SolverOptions()
-    if opts.alpha == 0.0:
-        f = next(_classical_layers(X, opts.eps_sigma))
-    else:
-        f = _solve(X, opts)
-    return _layer_fit(f, 0)
-
-
 def _regress_fixpoint(X, fit, alpha, left):
     """Row (left) or column regression of X at the fit's other vector and
     sigma2, repeated until its weights agree with the coefficients."""
@@ -767,54 +722,3 @@ def update_sigma2(residuals, sigma2_prev, alpha, eps=1e-10):
     if not s2 > 0.0:
         raise ValueError("sigma2_prev must be positive")
     return _sigma_solve(e, s2, al, _check_eps(eps))
-
-
-def _transforms_fit(X, opts, tol, transform_X, transform_state):
-    """True iff fitting transform_X(X) gives transform_state of the fit of X
-    within tol.
-
-    The fits run from matched starts: the screened and classical policies
-    derive their start from the data and commute with scaling and
-    permutation; a random or provided start is transported through
-    transform_state, which maps (lambda, u, v, sigma2) to its transform.
-    Deviations are relative in lambda and sigma2 and absolute in the
-    vector components.
-    """
-    if opts is None:
-        opts = SolverOptions()
-    base = fit_rank1(X, opts)
-    X = np.asarray(X, dtype=float)
-    if opts.init not in ("screened", "classical"):
-        st = _init(X, opts.init, sigma_floor(X, opts.eps_sigma), opts.seed)
-        opts = replace(opts, init=transform_state(*st))
-    got = fit_rank1(transform_X(X), opts)
-    lam, u, v, s2 = transform_state(*_fit_state(base))
-    return max(abs(got.lambda_ - lam) / (1.0 + abs(lam)),
-               float(np.max(np.abs(got.u - u))),
-               float(np.max(np.abs(got.v - v))),
-               abs(got.sigma2 - s2) / (1.0 + abs(s2))) <= tol
-
-
-def check_equivariance_scale(X, c, opts=None, tol=1e-10):
-    """True iff fitting c*X returns the scaled fit of X within tol.
-
-    The reference is (|c| lambda, u, sign(c) v, c^2 sigma2), which keeps
-    the sign convention; see _transforms_fit for the matched starts and
-    the deviations.
-    """
-    c = float(c)
-    if c == 0.0:
-        raise ValueError("c must be nonzero")
-    return _transforms_fit(
-        X, opts, tol, lambda A: c * A,
-        lambda lam, u, v, s2: (abs(c) * lam, u, np.sign(c) * v, c * c * s2))
-
-
-def check_equivariance_permutation(X, perm_rows, perm_cols, opts=None,
-                                   tol=1e-10):
-    """True iff fitting the row/column-permuted X permutes the fit of X."""
-    pr = np.asarray(perm_rows, dtype=int)
-    pc = np.asarray(perm_cols, dtype=int)
-    return _transforms_fit(
-        X, opts, tol, lambda A: A[np.ix_(pr, pc)],
-        lambda lam, u, v, s2: (lam, u[pr], v[pc], s2))

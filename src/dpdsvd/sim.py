@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .decomposition import fit_svd
+from .objective import check_alpha
 from .rank1 import SolverOptions
 
 SETUPS = ("S1", "S2a", "S2b", "S2c", "S3", "S4", "S5")
@@ -66,7 +67,7 @@ class SimConfig:
         if int(self.replicates) < 1:
             raise ValueError("replicates must be at least 1")
         self.replicates = int(self.replicates)
-        self.alphas = tuple(float(a) for a in self.alphas)
+        self.alphas = tuple(check_alpha(a) for a in self.alphas)
         if not self.alphas:
             raise ValueError("alphas must be non-empty")
         self.seed = int(self.seed)
@@ -234,6 +235,9 @@ def run_simulation(cfg, threads=1):
     alpha = 0 least squares path) followed by one row per requested
     alpha. Replicates are independent streams, so `threads` changes
     wall time only, never results; aggregation runs in replicate order.
+    On a CPython build with the GIL more threads do not speed up the
+    10x4 fits, whose small NumPy calls hold the GIL (README, Simulation
+    study, has the timings).
     """
     truth = make_ground_truth()
     fit_alphas = []

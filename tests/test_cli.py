@@ -169,6 +169,13 @@ class TestSimulate:
                     "--replicates", "2"]) == 2
         assert "unknown setup" in capsys.readouterr().err
 
+    def test_bad_alpha_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "bad.csv"
+        assert run(["simulate", "--setup", "S1", "--replicates", "2",
+                    "--alphas", "9", "--output", out]) == 2
+        assert "alpha must be in" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RSVD_SEED", "7")
         out = tmp_path / "rep.csv"

@@ -170,10 +170,12 @@ class TestFitSvd:
 class TestPolishRule:
     """Layer 0 is unconstrained and Newton-polished; later layers are not."""
 
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
-    def test_only_layer0_is_polished(self, alpha):
+    def test_only_layer0_is_polished(self, alpha, order):
         X = (make_ground_truth().X0
              + sample_noise("S2c", np.random.default_rng([1, 0]))[0])
+        X = np.asarray(X, order=order)
         opts = SolverOptions(alpha=alpha)
         dec = fit_svd(X, 3, opts)
         first = fit_rank1(X, opts)

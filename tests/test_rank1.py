@@ -16,6 +16,7 @@ from dpdsvd import (
     check_equivariance_permutation,
     check_equivariance_scale,
     fit_rank1,
+    fit_svd,
     objective,
     sigma_floor,
     update_sigma2,
@@ -706,6 +707,54 @@ class TestFitRank1:
             fit_rank1(np.zeros((4, 3)), SolverOptions(alpha=alpha))
 
 
+class TestProvidedStart:
+    """A provided start is checked where every start is built."""
+
+    X = np.random.default_rng(26).standard_normal((8, 5))
+    u = np.full(8, 8 ** -0.5)
+    v = np.full(5, 5 ** -0.5)
+
+    def test_non_finite_vector_raises(self):
+        u = self.u.copy()
+        u[3] = np.nan
+        opts = SolverOptions(alpha=0.5, init=(1.0, u, self.v, 1.0))
+        with pytest.raises(NonFiniteInput,
+                           match="^init has a non-finite lambda, u or v$"):
+            fit_rank1(self.X, opts)
+        with pytest.raises(NonFiniteInput, match="^layer 0: init has"):
+            fit_svd(self.X, 2, opts)
+
+    @pytest.mark.parametrize("s2", [np.inf, np.nan])
+    def test_non_finite_sigma2_raises(self, s2):
+        opts = SolverOptions(alpha=0.5, init=(1.0, self.u, self.v, s2))
+        with pytest.raises(ValueError, match="^init sigma2 must be finite$"):
+            fit_rank1(self.X, opts)
+
+    def test_non_unit_vectors_raise(self):
+        opts = SolverOptions(alpha=0.5,
+                             init=(1.0, 3.0 * self.u, 2.0 * self.v, 1.0))
+        with pytest.raises(ValueError,
+                           match="^init u and v must have unit norm$"):
+            fit_rank1(self.X, opts)
+
+    def test_wrong_length_raises(self):
+        opts = SolverOptions(alpha=0.5, init=(1.0, self.v, self.v, 1.0))
+        with pytest.raises(ValueError, match="must have lengths 8 and 5"):
+            fit_rank1(self.X, opts)
+
+    def test_non_positive_sigma2_is_floored(self):
+        fit = fit_rank1(self.X, SolverOptions(
+            alpha=0.5, init=(1.0, self.u, self.v, -1.0)))
+        assert fit.converged and fit.sigma2 > 0.0
+
+    def test_alpha_zero_ignores_init(self):
+        ones = (1.0, np.ones(8), np.ones(5), 1.0)
+        got = fit_rank1(self.X, SolverOptions(alpha=0.0, init=ones))
+        want = fit_rank1(self.X, SolverOptions(alpha=0.0))
+        assert got.lambda_ == want.lambda_
+        np.testing.assert_array_equal(got.u, want.u)
+
+
 class TestClassicalClosedForm:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(2, 30), st.integers(2, 12), st.integers(0, 2 ** 32 - 1),
@@ -823,6 +872,19 @@ class TestEquivariance:
         assert check_equivariance_permutation(X, pr, pc, opts)
         assert check_equivariance_permutation(X, np.arange(8), np.arange(5),
                                               opts)
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([0, 0, 1, 2, 3, 4], range(4)),
+        ([0, 1, 2], range(4)),
+        ([0, 1, 2, 3, 4, 6], range(4)),
+        (range(6), [3, 2, 1, 1]),
+    ])
+    def test_permutation_rejects_non_permutations(self, rows, cols):
+        X = np.random.default_rng(46).standard_normal((6, 4))
+        with pytest.raises(ValueError, match="must be a permutation of "
+                                             "range"):
+            check_equivariance_permutation(X, rows, cols,
+                                           SolverOptions(alpha=0.5))
 
     def test_other_init_policies(self):
         rng = np.random.default_rng(43)

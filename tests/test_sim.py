@@ -171,6 +171,10 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig("nope")
 
+    def test_rejects_bad_alpha(self):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            SimConfig("S1", alphas=(0.5, 9))
+
 
 class TestReduce:
     def _sample(self, lams):
