@@ -77,7 +77,10 @@ def _deflation_layers(E, opts):
     """Yield the _solve result of each successive layer at alpha > 0.
 
     E is the running residual: X itself for the first layer, which is
-    never written to.
+    never written to. A provided start (a Rank1Fit or 4-tuple init)
+    serves layer 0 only, since it is not orthogonal to layer 0's vectors;
+    later layers start from the "screened" policy, projected onto the
+    constraints.
     """
     done = []
     for _ in range(min(E.shape)):
@@ -85,6 +88,8 @@ def _deflation_layers(E, opts):
         ortho_v = np.column_stack([f["v"] for f in done]) if done else None
         f = _solve(E, opts, ortho_u, ortho_v)
         yield f
+        if not isinstance(opts.init, str):
+            opts = replace(opts, init="screened")
         done.append(f)
         E = E - f["lam"] * np.outer(f["u"], f["v"])
 

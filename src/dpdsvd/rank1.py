@@ -14,7 +14,8 @@ underflowed, such as a whole tampered video frame, is refit at its
 weights divided by their largest value instead of raising. After a
 warm-up the iteration is accelerated by squared extrapolation of the
 fixed-point map (SQUAREM), and every accelerated state is re-checked
-against h.
+against h. The iterate carries the residuals e and the weights W of its
+point, so a cycle makes no weights pass of its own at the top.
 
 A deflated layer constrains u and v orthogonal to the earlier layers'
 vectors. Three things are projected onto that constraint: the start,
@@ -37,12 +38,13 @@ singular triple; that case is computed in closed form from one SVD
 fit entry points and the layer loop that calls _solve are in
 decomposition.py.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateWeights, NonFiniteInput, RankCollapse
-from .objective import _fit_state, check_alpha, h_value, weights
+from .objective import _fit_state, _mean, check_alpha, h_value, weights
 
 PLAIN_FIRST = 10       # plain cycles before extrapolation kicks in
 SIG_CAP = 0.5          # sigma^2 may shrink at most 2x per outer iteration
@@ -77,8 +79,9 @@ class SolverOptions:
     SVD pair of an outlier-screened copy of the data; "classical" the top
     SVD pair of the data itself; "random" seeded random unit vectors
     (set seed); a Rank1Fit or (lambda, u, v, sigma2) tuple is used as is,
-    once a fit has checked it (_init). eps_sigma overrides the sigma2
-    floor (default 1e-10 max(1, mean X^2)).
+    once a fit has checked it (_init), as the start of layer 0 only:
+    fit_svd starts the deflated layers from "screened". eps_sigma
+    overrides the sigma2 floor (default 1e-10 max(1, mean X^2)).
     At alpha = 0 the fit is one SVD in closed form: tol, max_iter, init
     and seed have no effect there (an init string is still validated).
     """
@@ -227,14 +230,14 @@ def _sigma_solve(e, s2, alpha, lo, W=None):
     for _ in range(200):
         if W is None:
             W = weights(e, s2, alpha)
-        den = np.mean(W) - c_sig
+        den = _mean(W) - c_sig
         if den <= 0:
             if plain is None:
                 return s2, True
             s2, plain, W = plain, None, None
             continue
         e2w = e2 * W
-        B = np.mean(e2w)
+        B = _mean(e2w)
         T = B / den
         if T < lo:
             return lo, False
@@ -244,9 +247,9 @@ def _sigma_solve(e, s2, alpha, lo, W=None):
         r_prev = r
         # T'(s) from b = B / s and c = C / s^2, which stay finite at any scale
         b = B / s2
-        c = np.mean(e2w * (e2 / s2)) / s2
+        c = _mean(e2w * (e2 / s2)) / s2
         d = alpha * (c * den - b * b) / (2.0 * den * den)
-        if np.isfinite(d) and d < 1.0:
+        if math.isfinite(d) and d < 1.0:
             s2, plain = max(s2 + (T - s2) / (1.0 - d), lo), T
         else:
             s2, plain = T, None
@@ -262,7 +265,7 @@ def _regress(X, W, w, what):
     denominators.
     """
     den = W @ (w * w)
-    if np.any(den <= 1e-300):
+    if (den <= 1e-300).any():
         raise DegenerateWeights(f"all {what} weights collapsed")
     return ((X * W) @ w) / den, den
 
@@ -337,7 +340,7 @@ def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
     t = 1.0
     for _ in range(40):
         cand = cur + t * (target - cur)
-        e_c = X - (np.outer(cand, other) if left else np.outer(other, cand))
+        e_c = X - (cand[:, None] * other if left else other[:, None] * cand)
         W_c = weights(e_c, s2, alpha)
         h_c = h_value(e_c, s2, alpha, W_c)
         if h_c < h:
@@ -346,23 +349,27 @@ def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
         t *= 0.5
         if t * gain <= STALL_RTOL * abs(h):
             break
-    lam = np.linalg.norm(cur)
+    lam = math.sqrt(cur.dot(cur))
     if lam <= 0:
         raise RankCollapse("rank collapse")
     return lam, cur / lam, h, e, W
 
 
-def _one_cycle(X, alpha, lam, u, v, s2, h, e, ortho_u, ortho_v, eps):
-    W = weights(e, s2, alpha)
+def _one_cycle(X, alpha, lam, u, v, s2, h, e, W, ortho_u, ortho_v, eps):
+    """Row half-step, column half-step, then the scale update, kept only
+    if it does not raise h. W is weights(e, s2, alpha), and so is the W
+    returned: the half-steps hand back the weights of the point they
+    reach, and the scale update's weights are kept with its sigma2."""
     lam, u, h, e, W = _half_step(X, W, e, h, lam * u, v, s2, alpha, True,
                                  ortho_u)
     lam, v, h, e, W = _half_step(X, W, e, h, lam * v, u, s2, alpha, False,
                                  ortho_v)
     s2_c = _sigma_solve(e, s2, alpha, max(eps, SIG_CAP * s2), W)[0]
-    h_c = h_value(e, s2_c, alpha)
+    W_c = weights(e, s2_c, alpha)
+    h_c = h_value(e, s2_c, alpha, W_c)
     if h_c <= h:
-        s2, h = s2_c, h_c
-    return lam, u, v, s2, h, e
+        s2, h, W = s2_c, h_c, W_c
+    return lam, u, v, s2, h, e, W
 
 
 def _polish_terms(X, a, b, t, alpha):
@@ -568,8 +575,12 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
     layer 3's lambda to -1.85% of planted (outside the 1% check) and
     slowed the fit from 10.6 s to 14.7 s.
 
-    The iterate is one tuple (lam, u, v, s2, h, e): the state, h there
-    and the residuals.
+    The iterate is one tuple (lam, u, v, s2, h, e, W): the state, h
+    there, the residuals and weights(e, s2, alpha). A state keeps e and
+    W only while it is still to be cycled: once cycled, the previous
+    state and the middle state of an extrapolation are cut to (lam, u,
+    v, s2, h), and an extrapolated state is dropped once compared, so
+    carrying W adds no array to the solver's peak.
     """
     alpha = opts.alpha
     tol = opts.tol
@@ -581,8 +592,9 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
     lam_cap = SPIKE_FACTOR * max(sig1, np.sqrt(eps))
 
     def start(lam, u, v, s2):
-        e = X - lam * np.outer(u, v)
-        return lam, u, v, s2, h_value(e, s2, alpha), e
+        e = X - lam * (u[:, None] * v)
+        W = weights(e, s2, alpha)
+        return lam, u, v, s2, h_value(e, s2, alpha, W), e, W
 
     def cycle(st):
         return _one_cycle(X, alpha, *st, ortho_u, ortho_v, eps)
@@ -599,9 +611,9 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
         vv = _project(th[n:n + p], ortho_v)
         with np.errstate(over="ignore"):
             s2x = float(np.exp(th[-1]))
-        la = np.linalg.norm(a)
-        nv = np.linalg.norm(vv)
-        if la <= 0 or nv <= 0 or not np.isfinite(s2x) or s2x <= 0:
+        la = math.sqrt(a.dot(a))
+        nv = math.sqrt(vv.dot(vv))
+        if la <= 0 or nv <= 0 or not math.isfinite(s2x) or s2x <= 0:
             return None
         return start(la * nv, a / la, vv / nv, max(s2x, eps))
 
@@ -614,27 +626,26 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
     while it_total < max_iter:
         it += 1
         it_total += 1
-        prev = st
-        if it <= PLAIN_FIRST:
-            st = cycle(prev)
-        else:
-            st1 = cycle(prev)
-            st = cycle(st1)
+        # a cycled state is cut to (lam, u, v, s2, h), freeing e and W
+        prev, st = st[:5], cycle(st)
+        if it > PLAIN_FIRST:
+            st1, st = st[:5], cycle(st)
             th0, th1 = pack(prev), pack(st1)
             r = th1 - th0
             w = pack(st) - th1 - r
-            nw = np.linalg.norm(w)
+            nw = math.sqrt(w.dot(w))
             if nw > 1e-300:
-                sq = -np.linalg.norm(r) / nw
+                sq = -math.sqrt(r.dot(r)) / nw
                 acc = unpack(th0 - 2.0 * sq * r + sq * sq * w)
-                if acc is not None and np.isfinite(acc[4]):
+                if acc is not None and math.isfinite(acc[4]):
                     try:
                         acc = cycle(acc)
                     except FloatingPointError:
                         acc = None
                     if acc is not None and acc[4] < st[4]:
                         st = acc
-        lam, u, v, s2, h, _ = st
+                acc = None
+        lam, u, v, s2, h = st[:5]
         if lam > lam_cap and not restarted and opts.init == "screened":
             # the screened basin blew past the data's top singular value
             restarted = True
@@ -643,16 +654,16 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
             it = 0
             continue
         trace.append(h)
-        lam_p, u_p, v_p, s2_p, h_p, _ = prev
+        lam_p, u_p, v_p, s2_p, h_p = prev
         theta_inf = max(lam, 1.0, s2)
         rel = max(abs(h - h_p) / (1.0 + abs(h)),
-                  max(abs(lam - lam_p), np.max(np.abs(u - u_p)),
-                      np.max(np.abs(v - v_p)), abs(s2 - s2_p)) / (1.0 + theta_inf))
+                  max(abs(lam - lam_p), np.abs(u - u_p).max(),
+                      np.abs(v - v_p).max(), abs(s2 - s2_p)) / (1.0 + theta_inf))
         if rel < tol:
             converged = True
             break
-    lam, u, v, s2, h, _ = st
-    st = prev = st1 = acc = None    # free their residuals before the polish
+    lam, u, v, s2, h = st[:5]
+    st = None    # free its residuals and weights before the polish
     u, v = _flip_sign(u, v)
     if ortho_u is None and converged:
         lam, u, v, s2, h = _newton_polish(X, lam, u, v, s2, alpha, eps)

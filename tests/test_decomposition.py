@@ -206,6 +206,37 @@ class TestOrthogonality:
         assert np.max(np.abs(dec.V.T @ dec.V - eye)) <= 1e-13
 
 
+class TestProvidedStart:
+    """A provided start serves layer 0 only; the deflated layers start
+    from the screened policy, projected onto the constraints."""
+
+    @pytest.mark.parametrize("rep, alpha, as_tuple",
+                             [(1, 0.5, False), (2, 0.5, False),
+                              (2, 1.0, False), (2, 1.0, True)])
+    def test_layers_stay_orthonormal(self, rep, alpha, as_tuple):
+        # the study's S2c replicates of batch 3; started from their own
+        # rank-one fit, these ended with U'U or V'V entries of 0.36-0.98
+        # when every layer reused the provided state
+        X = (make_ground_truth().X0
+             + sample_noise("S2c", np.random.default_rng([3, rep]))[0])
+        start = fit_rank1(X, SolverOptions(alpha=alpha))
+        if as_tuple:
+            start = (start.lambda_, start.u, start.v, start.sigma2)
+        opts = SolverOptions(alpha=alpha, init=start)
+        dec = fit_svd(X, 4, opts)
+        eye = np.eye(4)
+        assert np.max(np.abs(dec.U.T @ dec.U - eye)) <= 1e-13
+        assert np.max(np.abs(dec.V.T @ dec.V - eye)) <= 1e-13
+        first = fit_rank1(X, opts)
+        layer0 = dec.diagnostics[0]
+        assert (first.lambda_, first.sigma2, first.iterations,
+                first.converged) == (layer0.lambda_, layer0.sigma2,
+                                     layer0.iterations, layer0.converged)
+        for got, want in ((first.u, layer0.u), (first.v, layer0.v),
+                          (first.trace, layer0.trace)):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestHelpers:
     def test_orthogonality_report_rank1(self):
         rng = np.random.default_rng(66)

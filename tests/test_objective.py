@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from dpdsvd import ObjectiveValue, Rank1Fit, objective, psi, v_cell
-from dpdsvd.objective import check_alpha, h_value, weights
+from dpdsvd.objective import _mean, check_alpha, h_value, weights
 
 
 def brute_force_h(X, lam, u, v, s2, alpha):
@@ -225,3 +225,28 @@ class TestObjective:
         for alpha in (0.0, 0.6, 2.0):
             W = weights(e, 0.7, alpha)
             assert h_value(e, 0.7, alpha, W) == h_value(e, 0.7, alpha)
+
+
+MEAN_LAYOUTS = {
+    "1-D": lambda A: A.ravel(),
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "transposed view": lambda A: A.T,
+}
+
+
+class TestMean:
+    """_mean is np.mean's reduction and division without its dispatch."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 1), (10, 4), (43, 3),
+                                       (2000, 200)])
+    @pytest.mark.parametrize("layout", sorted(MEAN_LAYOUTS))
+    def test_matches_np_mean_bit_for_bit(self, shape, layout):
+        rng = np.random.default_rng([12, *shape])
+        base = rng.standard_normal(shape)
+        for scale in (1e-150, 1e-75, 1e-10, 1.0, 1e10, 1e75, 1e150):
+            x = MEAN_LAYOUTS[layout](base * scale)
+            got = _mean(x)
+            want = np.mean(x)
+            assert type(got) is type(want)
+            assert got == want

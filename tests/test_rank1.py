@@ -1,4 +1,5 @@
 """Rank-one solver: update operators, full fits, and equivariance checks."""
+import importlib
 import tracemalloc
 import warnings
 
@@ -27,6 +28,7 @@ from dpdsvd import (
 from dpdsvd import rank1
 from dpdsvd.objective import h_value
 from dpdsvd.rank1 import _solve_bordered
+from dpdsvd.sim import make_ground_truth, sample_noise
 
 
 def unit(rng, n):
@@ -232,6 +234,85 @@ class TestHalfStep:
         assert e_out is e and W_out is W
         assert h_out == h
         np.testing.assert_allclose(lam * u, cur, rtol=0, atol=1e-15)
+
+
+class TestCarriedWeights:
+    """The iterate (lam, u, v, s2, h, e, W) carries W = weights(e, s2,
+    alpha), so a cycle opens with no weights pass of its own."""
+
+    def test_every_cycle_gets_and_returns_its_weights(self, monkeypatch):
+        """Over rank-3 fits of study replicates, every state a cycle is
+        given or returns holds exactly weights(e, s2, alpha): states from
+        the start and from extrapolation, cycles on unconstrained and on
+        constrained layers, and cycles whose scale update h rejected.
+        Outside the scale solve a cycle makes one weights pass per h
+        evaluation and none besides, one fewer than a cycle that opens
+        with a pass and hands h_value no weights at the end."""
+        objective_module = importlib.import_module("dpdsvd.objective")
+        weights, h_value_ = rank1.weights, rank1.h_value
+        hidden = objective_module.weights
+        sigma_solve, one_cycle = rank1._sigma_solve, rank1._one_cycle
+        count = dict(passes=0, h=0, in_scale=False, s2_c=None)
+
+        def counted(*args):
+            count["passes"] += not count["in_scale"]
+            return weights(*args)
+
+        def counted_hidden(*args):
+            # a pass inside h_value, made when it is handed no weights
+            count["passes"] += 1
+            return hidden(*args)
+
+        def counted_h(*args):
+            count["h"] += 1
+            return h_value_(*args)
+
+        def scale(*args):
+            count["in_scale"] = True
+            try:
+                out = sigma_solve(*args)
+            finally:
+                count["in_scale"] = False
+            count["s2_c"] = out[0]
+            return out
+
+        returned = []       # the W of every returned state, kept alive
+        seen = dict(cycles=0, constrained=0, rejected=0, fresh=0)
+
+        def cycle(X, alpha, lam, u, v, s2, h, e, W, ortho_u, ortho_v, eps):
+            assert np.array_equal(W, weights(e, s2, alpha))
+            seen["fresh"] += not any(W is w for w in returned)
+            count.update(passes=0, h=0)
+            out = one_cycle(X, alpha, lam, u, v, s2, h, e, W, ortho_u,
+                            ortho_v, eps)
+            assert count["passes"] == count["h"]
+            s2_o, e_o, W_o = out[3], out[5], out[6]
+            assert np.array_equal(W_o, weights(e_o, s2_o, alpha))
+            returned.append(W_o)
+            seen["cycles"] += 1
+            seen["constrained"] += ortho_u is not None
+            seen["rejected"] += s2_o != count["s2_c"]
+            return out
+
+        monkeypatch.setattr(rank1, "weights", counted)
+        monkeypatch.setattr(rank1, "h_value", counted_h)
+        monkeypatch.setattr(rank1, "_sigma_solve", scale)
+        monkeypatch.setattr(rank1, "_one_cycle", cycle)
+        monkeypatch.setattr(objective_module, "weights", counted_hidden)
+        solves = 0
+        for rep in range(2):
+            X = (make_ground_truth().X0
+                 + sample_noise("S2c", np.random.default_rng([3, rep]))[0])
+            for alpha in (0.5, 1.0):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    fit_svd(X, 3, SolverOptions(alpha=alpha))
+                solves += 3
+        assert seen["cycles"] > 100
+        assert seen["constrained"] > 0
+        assert seen["rejected"] > 0
+        # each solve's start, and at least one extrapolated state
+        assert seen["fresh"] > solves
 
 
 class TestCollapsedRows:
