@@ -181,9 +181,9 @@ def build_parser():
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--output", default="sim_report.csv")
     sim.add_argument("--threads", type=_positive_int, default=1,
-                     help="replicate threads; results never depend on "
-                          "it, and with the GIL more threads are not "
-                          "faster")
+                     help="accepted and ignored: replicates always run "
+                          "in order in one thread, since the fits hold "
+                          "the GIL and threads only made the study slower")
     sim.set_defaults(func=cmd_simulate)
 
     ben = sub.add_parser("bench", help="run the timing benchmark")

@@ -17,8 +17,9 @@ it converges, is Newton-polished to the exact stationary point of h; a
 layer 0 that stops at max_iter is returned unpolished. Layers 1.. stop
 where projected descent stalls (a projected regression target need not
 lower h) and are not polished, so they are near, not at, the constrained
-stationary point (rank1._solve holds this rule and the measurement
-behind it).
+stationary point. A provided start serves layer 0 only; layers 1..
+start from the "screened" policy. rank1._solve holds both rules and the
+measurements behind them.
 
 The equivariance checks (check_equivariance_scale and
 check_equivariance_permutation) live here too, since they fit X.
@@ -78,9 +79,7 @@ def _deflation_layers(E, opts):
 
     E is the running residual: X itself for the first layer, which is
     never written to. A provided start (a Rank1Fit or 4-tuple init)
-    serves layer 0 only, since it is not orthogonal to layer 0's vectors;
-    later layers start from the "screened" policy, projected onto the
-    constraints.
+    serves layer 0 only (rank1._solve holds that rule).
     """
     done = []
     for _ in range(min(E.shape)):
@@ -88,8 +87,6 @@ def _deflation_layers(E, opts):
         ortho_v = np.column_stack([f["v"] for f in done]) if done else None
         f = _solve(E, opts, ortho_u, ortho_v)
         yield f
-        if not isinstance(opts.init, str):
-            opts = replace(opts, init="screened")
         done.append(f)
         E = E - f["lam"] * np.outer(f["u"], f["v"])
 

@@ -79,8 +79,8 @@ class SolverOptions:
     SVD pair of an outlier-screened copy of the data; "classical" the top
     SVD pair of the data itself; "random" seeded random unit vectors
     (set seed); a Rank1Fit or (lambda, u, v, sigma2) tuple is used as is,
-    once a fit has checked it (_init), as the start of layer 0 only:
-    fit_svd starts the deflated layers from "screened". eps_sigma
+    once a fit has checked it (_init), as the start of the unconstrained
+    fit only: _solve starts a deflated layer from "screened". eps_sigma
     overrides the sigma2 floor (default 1e-10 max(1, mean X^2)).
     At alpha = 0 the fit is one SVD in closed form: tol, max_iter, init
     and seed have no effect there (an init string is still validated).
@@ -561,6 +561,14 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
     """The iterative rank-one fit, for alpha > 0; returns a dict so
     callers can extend diagnostics.
 
+    A provided start (a Rank1Fit or 4-tuple opts.init) serves only the
+    unconstrained fit (ortho_u is None), since it is not orthogonal to
+    the earlier layers' vectors: a constrained fit starts from
+    "screened", projected onto the constraints. Reused on every layer, a
+    provided start left U'U or V'V entries of up to 0.98 off the
+    diagonal. Only a "screened" start restarts from "classical" when
+    lambda passes the spike cap.
+
     The fit is Newton-polished to the exact stationary point of h if and
     only if it is unconstrained (ortho_u is None) and its iteration
     converged. An unconverged first layer may still be drifting: on the
@@ -617,7 +625,9 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
             return None
         return start(la * nv, a / la, vv / nv, max(s2x, eps))
 
-    st = start(*_init(X, opts.init, eps, opts.seed, ortho_u, ortho_v))
+    init = (opts.init if isinstance(opts.init, str) or ortho_u is None
+            else "screened")
+    st = start(*_init(X, init, eps, opts.seed, ortho_u, ortho_v))
     trace = [st[4]]
     converged = False
     restarted = False
@@ -646,7 +656,7 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
                         st = acc
                 acc = None
         lam, u, v, s2, h = st[:5]
-        if lam > lam_cap and not restarted and opts.init == "screened":
+        if lam > lam_cap and not restarted and init == "screened":
             # the screened basin blew past the data's top singular value
             restarted = True
             st = start(*_init(X, "classical", eps, None, ortho_u, ortho_v))

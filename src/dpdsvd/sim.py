@@ -8,11 +8,14 @@ estimate is compared against 0), and accumulates squared bias, MSE and
 subspace dissimilarity per singular value. The least squares path
 (alpha = 0) serves as the classical SVD baseline row.
 
+Each report row also counts the fits that raised (failures) and the
+layers that stopped at max_iter without converging (nonconverged).
+
 Randomness: NumPy's default PCG64 generator; replicate r of a run with
 seed s draws from default_rng([s, r]), so replicates are independent
-streams and results do not depend on execution order or thread count.
+streams and results do not depend on execution order. Replicates run in
+order in the calling thread.
 """
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -75,7 +78,11 @@ class SimConfig:
 
 @dataclass
 class MethodResult:
-    """Per-(method, alpha) row of a report; arrays are per singular value."""
+    """Per-(method, alpha) row of a report; arrays are per singular value.
+
+    failures counts the replicates whose fit raised; nonconverged counts
+    the layers that stopped at max_iter, summed over the other replicates.
+    """
     method: str
     alpha: float
     sq_bias: np.ndarray
@@ -84,6 +91,7 @@ class MethodResult:
     diss_left: np.ndarray
     diss_right: np.ndarray
     failures: int
+    nonconverged: int = 0
 
     @property
     def sq_bias_total(self):
@@ -180,7 +188,9 @@ def dissimilarity(u, v):
 
 
 def _replicate(rep, truth, cfg, fit_alphas):
-    """One replicate: data draw plus a fit per alpha; None marks a failure."""
+    """One replicate: data draw plus a fit per alpha, as (lambdas, left and
+    right dissimilarities, count of layers stopped at max_iter); None
+    marks a failure."""
     rng = np.random.default_rng([cfg.seed, rep])
     E, mask = sample_noise(cfg.setup, rng, truth.X0.shape)
     X = truth.X0 + E
@@ -202,7 +212,8 @@ def _replicate(rep, truth, cfg, fit_alphas):
                        for k in range(n_true)])
         dr = np.array([dissimilarity(truth.V_true[:, k], dec.V[:, k])
                        for k in range(n_true)])
-        out[alpha] = (lams, dl, dr)
+        out[alpha] = (lams, dl, dr,
+                      sum(not d.converged for d in dec.diagnostics))
     return out
 
 
@@ -225,7 +236,8 @@ def _reduce(samples, alpha, method, lambdas_full):
     return MethodResult(method=method, alpha=float(alpha),
                         sq_bias=bias ** 2, mse=mse, variance=variance,
                         diss_left=dls.mean(axis=0), diss_right=drs.mean(axis=0),
-                        failures=failures)
+                        failures=failures,
+                        nonconverged=sum(o[3] for o in oks))
 
 
 def run_simulation(cfg, threads=1):
@@ -233,24 +245,20 @@ def run_simulation(cfg, threads=1):
 
     Returns a SimReport whose first row is the classical baseline (the
     alpha = 0 least squares path) followed by one row per requested
-    alpha. Replicates are independent streams, so `threads` changes
-    wall time only, never results; aggregation runs in replicate order.
-    On a CPython build with the GIL more threads do not speed up the
-    10x4 fits, whose small NumPy calls hold the GIL (README, Simulation
-    study, has the timings).
+    alpha. Replicates always run in order in the calling thread, and
+    `threads` is accepted for compatibility and has no effect. A thread
+    pool never made the study faster: the 10x4 fits are small NumPy
+    calls that hold the GIL, and on a 2-CPU host with OpenBLAS at one
+    thread S2c with 40 replicates and alphas (0.5, 1) took a median of
+    2.13 s serially, 3.63 s on 2 threads and 4.16 s on 4.
     """
     truth = make_ground_truth()
     fit_alphas = []
     for a in (0.0,) + cfg.alphas:
         if a not in fit_alphas:
             fit_alphas.append(a)
-    reps = range(cfg.replicates)
-    if threads and int(threads) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as ex:
-            samples = list(ex.map(
-                lambda r: _replicate(r, truth, cfg, fit_alphas), reps))
-    else:
-        samples = [_replicate(r, truth, cfg, fit_alphas) for r in reps]
+    samples = [_replicate(r, truth, cfg, fit_alphas)
+               for r in range(cfg.replicates)]
     rank = min(truth.X0.shape)
     lambdas_full = np.zeros(rank)
     lambdas_full[:truth.lambdas_true.size] = truth.lambdas_true
@@ -262,13 +270,14 @@ def run_simulation(cfg, threads=1):
 
 def report_to_csv(report):
     """CSV serialization, one line per (method, alpha) row."""
-    lines = ["method,setup,alpha,sq_bias,mse,diss_left,diss_right,failures"]
+    lines = ["method,setup,alpha,sq_bias,mse,diss_left,diss_right,failures,"
+             "nonconverged"]
     for r in report.rows:
         lines.append(",".join([
             r.method, report.setup, repr(r.alpha),
             repr(r.sq_bias_total), repr(r.mse_total),
             repr(r.diss_left_total), repr(r.diss_right_total),
-            str(r.failures)]))
+            str(r.failures), str(r.nonconverged)]))
     return "\n".join(lines) + "\n"
 
 
@@ -277,10 +286,12 @@ def format_table(report):
     head = (f"setup {report.setup}  replicates {report.replicates}  "
             f"seed {report.seed}")
     cols = f"{'method':<9}{'alpha':>7}{'sq_bias':>14}{'mse':>14}" \
-           f"{'diss_left':>11}{'diss_right':>12}{'failures':>10}"
+           f"{'diss_left':>11}{'diss_right':>12}{'failures':>10}" \
+           f"{'nonconverged':>14}"
     lines = [head, cols, "-" * len(cols)]
     for r in report.rows:
         lines.append(f"{r.method:<9}{r.alpha:>7.2f}{r.sq_bias_total:>14.3f}"
                      f"{r.mse_total:>14.3f}{r.diss_left_total:>11.3f}"
-                     f"{r.diss_right_total:>12.3f}{r.failures:>10d}")
+                     f"{r.diss_right_total:>12.3f}{r.failures:>10d}"
+                     f"{r.nonconverged:>14d}")
     return "\n".join(lines) + "\n"

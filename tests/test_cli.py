@@ -156,8 +156,8 @@ class TestSimulate:
                     "--alphas", "0.5,1.0", "--seed", "5", "--output", out])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == \
-            "method,setup,alpha,sq_bias,mse,diss_left,diss_right,failures"
+        assert lines[0] == ("method,setup,alpha,sq_bias,mse,diss_left,"
+                            "diss_right,failures,nonconverged")
         assert len(lines) == 4
         table = capsys.readouterr().out
         assert "setup S1" in table and "seed 5" in table

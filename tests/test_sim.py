@@ -1,21 +1,31 @@
 """Monte Carlo harness: ground truth, noise setups, and aggregation."""
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import dpdsvd
 from dpdsvd import (
     SimConfig,
+    SolverOptions,
     dissimilarity,
+    fit_svd,
     make_ground_truth,
     orthogonal_poly_contrasts,
     report_to_csv,
     run_simulation,
     sample_noise,
+    sim,
 )
 from dpdsvd.sim import (
     CONTAMINATION,
     CONTAMINATION_VALUE,
     MethodResult,
     _reduce,
+    _replicate,
     canonical_setup,
     format_table,
 )
@@ -177,16 +187,17 @@ class TestSimConfig:
 
 
 class TestReduce:
-    def _sample(self, lams):
+    def _sample(self, lams, nonconverged=0):
         k = np.asarray(lams, float)
-        return {0.5: (k, np.zeros(3), np.zeros(3))}
+        return {0.5: (k, np.zeros(3), np.zeros(3), nonconverged)}
 
     def test_counts_failures_and_aggregates_rest(self):
-        samples = [self._sample([9.0, 5.0, 3.0, 0.0]), {0.5: None},
-                   self._sample([11.0, 5.0, 3.0, 0.0])]
+        samples = [self._sample([9.0, 5.0, 3.0, 0.0], 2), {0.5: None},
+                   self._sample([11.0, 5.0, 3.0, 0.0], 1)]
         truth = np.array([10.0, 5.0, 3.0, 0.0])
         row = _reduce(samples, 0.5, "rsvddpd", truth)
         assert row.failures == 1
+        assert row.nonconverged == 3
         assert row.sq_bias[0] == pytest.approx(0.0, abs=1e-12)
         assert row.variance[0] == pytest.approx(1.0)
         assert row.mse[0] == pytest.approx(1.0)
@@ -195,8 +206,29 @@ class TestReduce:
         row = _reduce([{0.5: None}, {0.5: None}], 0.5, "rsvddpd",
                       np.zeros(4))
         assert row.failures == 2
+        assert row.nonconverged == 0
         assert np.all(np.isnan(row.mse))
         assert np.all(np.isnan(row.diss_left))
+
+    def test_counts_layers_stopped_at_max_iter(self):
+        # S2c seed 43, replicate 80: at alpha 1 layer 0 stops at max_iter
+        # near lambda 83, against a top singular value of 52.4 and a true
+        # 10. The fit raises nothing, so failures alone reads 0.
+        truth = make_ground_truth()
+        X = truth.X0 + sample_noise("S2c",
+                                    np.random.default_rng([43, 80]))[0]
+        cfg = SimConfig("S2c", replicates=1, alphas=(1.0,), seed=43)
+        with pytest.warns(RuntimeWarning, match="max_iter"):
+            dec = fit_svd(X, 4, SolverOptions(alpha=1.0))
+            samples = [_replicate(80, truth, cfg, [0.0, 1.0])]
+        assert not dec.diagnostics[0].converged
+        lambdas = np.array([10.0, 5.0, 3.0, 0.0])
+        svd = _reduce(samples, 0.0, "svd", lambdas)
+        robust = _reduce(samples, 1.0, "rsvddpd", lambdas)
+        assert (svd.failures, svd.nonconverged) == (0, 0)
+        assert robust.failures == 0
+        assert robust.nonconverged == sum(not d.converged
+                                          for d in dec.diagnostics)
 
 
 class TestRunSimulation:
@@ -248,6 +280,20 @@ class TestRunSimulation:
         threaded = run_simulation(cfg, threads=4)
         assert report_to_csv(serial) == report_to_csv(threaded)
 
+    def test_replicates_run_in_order_in_the_calling_thread(self,
+                                                           monkeypatch):
+        calls = []
+        replicate = sim._replicate
+
+        def recording(rep, *args):
+            calls.append((rep, threading.get_ident()))
+            return replicate(rep, *args)
+
+        monkeypatch.setattr(sim, "_replicate", recording)
+        cfg = SimConfig("S1", replicates=6, alphas=(0.5,), seed=2)
+        run_simulation(cfg, threads=4)
+        assert calls == [(r, threading.get_ident()) for r in range(6)]
+
     @pytest.mark.slow
     def test_heavy_contamination_bias_ordering(self):
         # more aggressive downweighting must reduce squared bias under the
@@ -268,13 +314,14 @@ class TestSerialization:
     def test_csv_header_and_shape(self):
         rep = self._report()
         lines = report_to_csv(rep).splitlines()
-        assert lines[0] == \
-            "method,setup,alpha,sq_bias,mse,diss_left,diss_right,failures"
+        assert lines[0] == ("method,setup,alpha,sq_bias,mse,diss_left,"
+                            "diss_right,failures,nonconverged")
         assert len(lines) == 1 + len(rep.rows)
         first = lines[1].split(",")
         assert first[0] == "svd" and first[1] == "S1"
         float(first[3])
         int(first[7])
+        assert int(first[8]) == 0
 
     def test_csv_round_trips_totals(self):
         rep = self._report()
@@ -288,6 +335,7 @@ class TestSerialization:
         lines = text.splitlines()
         assert len(lines) == 3 + len(rep.rows)
         assert "setup S1" in lines[0] and "seed 8" in lines[0]
+        assert lines[1].split()[-2:] == ["failures", "nonconverged"]
         assert lines[3].startswith("svd")
         assert lines[4].startswith("rsvddpd")
 
@@ -302,3 +350,20 @@ class TestMethodResultTotals:
         assert row.mse_total == 7.0
         assert row.diss_left_total == pytest.approx(0.6)
         assert row.diss_right_total == 0.5
+
+
+def test_import_loads_no_pool_modules():
+    # a fresh interpreter pays for every module the import loads; with
+    # bytecode caching off each one is compiled from source
+    pkg = os.path.dirname(os.path.dirname(os.path.abspath(dpdsvd.__file__)))
+    code = ("import sys, numpy; before = set(sys.modules); import dpdsvd; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    added = proc.stdout.split()
+    assert "dpdsvd" in added
+    assert not [m for m in added
+                if m.startswith(("concurrent", "multiprocessing"))]
