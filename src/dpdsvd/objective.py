@@ -77,8 +77,12 @@ def v_cell(x, a, b, sigma2, alpha):
 def _mean(x):
     """np.mean(x) of a float array: the same reduction and the same
     division, without np.mean's dispatch, which costs more than the
-    arithmetic on a 10x4 matrix."""
-    return np.add.reduce(x, axis=None) / x.size
+    arithmetic on a 10x4 matrix. A stack of matrices (ndim 3 or more)
+    gets the mean of each matrix, over its last two axes, by the same
+    reduction as that matrix alone."""
+    if x.ndim < 3:
+        return np.add.reduce(x, axis=None) / x.size
+    return np.add.reduce(x, axis=(-2, -1)) / (x.shape[-2] * x.shape[-1])
 
 
 def h_value(e, sigma2, alpha, W=None):
@@ -86,11 +90,15 @@ def h_value(e, sigma2, alpha, W=None):
 
     W, if given, holds weights(e, sigma2, alpha) already computed. At
     alpha = 0 it is mean(e^2) / (2 sigma2) + log(sigma2) / 2, which takes
-    one pass over the cells where the mean of _cells takes three.
+    one pass over the cells where the mean of _cells takes three. A
+    stack e of shape (k, n, p) gives an array of k values, the h of each
+    e[i] bit for bit; a matrix gives a float.
     """
     if alpha == 0.0:
-        return float(_mean(e * e) / (2.0 * sigma2) + 0.5 * np.log(sigma2))
-    return float(_mean(_cells(e, sigma2, alpha, W)))
+        h = _mean(e * e) / (2.0 * sigma2) + 0.5 * np.log(sigma2)
+    else:
+        h = _mean(_cells(e, sigma2, alpha, W))
+    return float(h) if e.ndim < 3 else h
 
 
 def _fit_state(fit):

@@ -8,14 +8,18 @@ and a self-consistent scale update. The backtracking halves a step only
 while its predicted decrease of h, the step length times the slope of h
 toward the target, stays above h's rounding; the slope comes from the
 regression's own denominators, since the gradient of h is a weighted
-residual of the regression. The column regression is the row
-regression of the transposed problem. A row whose weights have all
-underflowed, such as a whole tampered video frame, is refit at its
-weights divided by their largest value instead of raising. After a
-warm-up the iteration is accelerated by squared extrapolation of the
-fixed-point map (SQUAREM), and every accelerated state is re-checked
-against h. The iterate carries the residuals e and the weights W of its
-point, so a cycle makes no weights pass of its own at the top.
+residual of the regression. The full step is tried alone; the
+halvings after it are known before any is tried, so they are evaluated
+as stacks of candidates, many per pass over the cells on a small
+matrix, with the results of trying them one by one. The column
+regression is the row regression of the transposed problem. A row
+whose weights have all underflowed, such as a whole tampered video
+frame, is refit at its weights divided by their largest value instead
+of raising. After a warm-up the iteration is accelerated by squared
+extrapolation of the fixed-point map (SQUAREM), and every accelerated
+state is re-checked against h. The iterate carries the residuals e and
+the weights W of its point, so a cycle makes no weights pass of its own
+at the top.
 
 A deflated layer constrains u and v orthogonal to the earlier layers'
 vectors. Three things are projected onto that constraint: the start,
@@ -51,6 +55,8 @@ SIG_CAP = 0.5          # sigma^2 may shrink at most 2x per outer iteration
 SPIKE_FACTOR = 4.0     # restart when lambda exceeds this multiple of sigma_1
 SCREEN_K = 2.0         # init screening threshold in robust sd units
 STALL_RTOL = 4e-16     # halve only while the predicted drop of h > this * |h|
+HALVINGS = 0.5 ** np.arange(40.0)   # the step lengths a half-step may try
+BATCH_CELLS = 1 << 14  # sizes a half-step's stacks of halvings (_half_step)
 INIT_POLICIES = ("screened", "classical", "random")
 
 
@@ -315,6 +321,14 @@ def _target(X, W, cur, other, s2, alpha, ortho, what):
     return target, k * float((den * (raw - cur)) @ (target - cur))
 
 
+def _residuals(X, cand, other, left):
+    """X minus the rank-one fit of a row (left) or column candidate and
+    other; a stack of k candidates, shape (k, n) or (k, p), gives a
+    (k, n, p) stack of residual matrices."""
+    return X - (cand[..., None] * other if left
+                else other[:, None] * cand[..., None, :])
+
+
 def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
     """One regression half-step: the row (left) or column update of cur.
 
@@ -324,10 +338,24 @@ def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
     convex, and the step is halved until h strictly decreases. Halving
     stops once the step t can no longer lower h by more than rounding,
     t gain <= STALL_RTOL |h| with gain the decrease rate of h along the
-    step, so an uphill target (gain <= 0) costs one try; 40 tries is a
-    guard. A step that finds no decrease leaves cur where it was. Every
-    point between cur and the target satisfies the constraints, so the
-    candidates are not projected again. e, W and h belong to cur.
+    step, so an uphill target (gain <= 0) costs one try; 40 tries
+    (HALVINGS) is a guard. A step that finds no decrease leaves cur
+    where it was. Every point between cur and the target satisfies the
+    constraints, so the candidates are not projected again. e, W and h
+    belong to cur.
+
+    The full step is tried alone, as one matrix: an unconstrained
+    regression step nearly always lowers h there. The stop test does not
+    depend on the tries, so the halvings after it are fixed next and
+    tried as stacks of k = sqrt(BATCH_CELLS / X.size) of them (at least
+    one): each stack is one residual array of shape (k, n, p), one
+    weights pass and one h_value call, and the first candidate below h
+    wins. The result is that of trying them one by one, bit for bit. A
+    pass costs a fixed interpreter overhead plus k X.size cells, some of
+    them past the winner, and the square root balances the two: a 10x4
+    study step tries 20 halvings per pass, a 100x20 one 2, and an X of
+    more than BATCH_CELLS / 4 cells one, as a loop would. A stack of
+    k > 1 stays below BATCH_CELLS cells (128 KiB).
 
     Returns (length, unit direction, h, residuals, weights) at the point
     reached. Raises RankCollapse at length 0.
@@ -337,18 +365,29 @@ def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
     else:
         target, gain = _target(X.T, W.T, cur, other, s2, alpha, ortho,
                                "column")
-    t = 1.0
-    for _ in range(40):
-        cand = cur + t * (target - cur)
-        e_c = X - (cand[:, None] * other if left else other[:, None] * cand)
-        W_c = weights(e_c, s2, alpha)
-        h_c = h_value(e_c, s2, alpha, W_c)
-        if h_c < h:
-            cur, h, e, W = cand, h_c, e_c, W_c
-            break
-        t *= 0.5
-        if t * gain <= STALL_RTOL * abs(h):
-            break
+    step = target - cur
+    cand = cur + step
+    e_c = _residuals(X, cand, other, left)
+    W_c = weights(e_c, s2, alpha)
+    h_c = h_value(e_c, s2, alpha, W_c)
+    if h_c < h:
+        cur, h, e, W = cand, h_c, e_c, W_c
+    else:
+        # the try at 1/2**i follows only if no earlier halving met the
+        # stop test; a NaN gain or h meets none
+        stop = HALVINGS[1:] * gain <= STALL_RTOL * abs(h)
+        i = int(stop.argmax())
+        tries = i + 1 if stop[i] else HALVINGS.size
+        chunk = max(1, int(math.sqrt(BATCH_CELLS / X.size)))
+        for lo in range(1, tries, chunk):
+            cand = cur + HALVINGS[lo:min(lo + chunk, tries), None] * step
+            E = _residuals(X, cand, other, left)
+            W_c = weights(E, s2, alpha)
+            h_c = h_value(E, s2, alpha, W_c).tolist()
+            i = next((i for i, h_i in enumerate(h_c) if h_i < h), None)
+            if i is not None:
+                cur, h, e, W = cand[i], h_c[i], E[i], W_c[i]
+                break
     lam = math.sqrt(cur.dot(cur))
     if lam <= 0:
         raise RankCollapse("rank collapse")
@@ -534,14 +573,17 @@ def _newton_polish(X, lam, u, v, s2, alpha, eps):
     return na * nb, u_o, v_o, float(np.exp(t)), h
 
 
-def sigma_floor(X, eps_sigma=None):
+def sigma_floor(X, eps_sigma=None, ms=None):
     """sigma^2 floor: explicit override or 1e-10 max(1, mean X^2).
 
-    Raises ValueError unless an override is finite and positive.
+    ms, if given, holds mean X^2 already computed. Raises ValueError
+    unless an override is finite and positive.
     """
     if eps_sigma is not None:
         return _check_eps(eps_sigma)
-    return 1e-10 * max(1.0, float(np.mean(X * X)))
+    if ms is None:
+        ms = float(np.mean(X * X))
+    return 1e-10 * max(1.0, ms)
 
 
 def _check_input(X):
@@ -567,7 +609,8 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
     "screened", projected onto the constraints. Reused on every layer, a
     provided start left U'U or V'V entries of up to 0.98 off the
     diagonal. Only a "screened" start restarts from "classical" when
-    lambda passes the spike cap.
+    lambda passes the spike cap, so only it computes the cap, from the
+    top singular value of X.
 
     The fit is Newton-polished to the exact stationary point of h if and
     only if it is unconstrained (ortho_u is None) and its iteration
@@ -594,10 +637,9 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
     tol = opts.tol
     max_iter = opts.max_iter
     n, p = X.shape
-    eps = sigma_floor(X, opts.eps_sigma)
-    scale = np.sqrt(max(float(np.mean(X * X)), 1e-300))
-    sig1 = np.linalg.svd(X, compute_uv=False)[0]
-    lam_cap = SPIKE_FACTOR * max(sig1, np.sqrt(eps))
+    ms = float(np.mean(X * X))
+    eps = sigma_floor(X, opts.eps_sigma, ms)
+    scale = np.sqrt(max(ms, 1e-300))
 
     def start(lam, u, v, s2):
         e = X - lam * (u[:, None] * v)
@@ -627,6 +669,10 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
 
     init = (opts.init if isinstance(opts.init, str) or ortho_u is None
             else "screened")
+    lam_cap = np.inf
+    if init == "screened":
+        sig1 = np.linalg.svd(X, compute_uv=False)[0]
+        lam_cap = SPIKE_FACTOR * max(sig1, np.sqrt(eps))
     st = start(*_init(X, init, eps, opts.seed, ortho_u, ortho_v))
     trace = [st[4]]
     converged = False
@@ -656,7 +702,7 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
                         st = acc
                 acc = None
         lam, u, v, s2, h = st[:5]
-        if lam > lam_cap and not restarted and init == "screened":
+        if lam > lam_cap and not restarted:
             # the screened basin blew past the data's top singular value
             restarted = True
             st = start(*_init(X, "classical", eps, None, ortho_u, ortho_v))

@@ -250,3 +250,25 @@ class TestMean:
             want = np.mean(x)
             assert type(got) is type(want)
             assert got == want
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 1), (10, 4), (43, 3),
+                                       (2000, 200)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    def test_stack_matches_each_matrix(self, shape, alpha):
+        """h_value of a (k, n, p) stack, with or without its weights,
+        equals h_value of each matrix bit for bit."""
+        k = 2 if shape == (2000, 200) else 5
+        base = np.random.default_rng([13, *shape]).standard_normal((k, *shape))
+        for scale in (1e-150, 1e-75, 1e-10, 1.0, 1e10, 1e75, 1e150):
+            e = base * scale
+            s2 = 0.7 * scale * scale
+            W = weights(e, s2, alpha)
+            for given in (None, W):
+                got = h_value(e, s2, alpha, given)
+                want = [h_value(e[i], s2, alpha,
+                                None if given is None else given[i])
+                        for i in range(k)]
+                assert type(want[0]) is float
+                assert got.shape == (k,)
+                assert np.array_equal(got, want)
+            assert np.array_equal(_mean(e), [_mean(m) for m in e])

@@ -1,5 +1,6 @@
 """Rank-one solver: update operators, full fits, and equivariance checks."""
 import importlib
+import math
 import tracemalloc
 import warnings
 
@@ -26,7 +27,7 @@ from dpdsvd import (
     v_cell,
 )
 from dpdsvd import rank1
-from dpdsvd.objective import h_value
+from dpdsvd.objective import h_value, weights
 from dpdsvd.rank1 import _solve_bordered
 from dpdsvd.sim import make_ground_truth, sample_noise
 
@@ -234,6 +235,171 @@ class TestHalfStep:
         assert e_out is e and W_out is W
         assert h_out == h
         np.testing.assert_allclose(lam * u, cur, rtol=0, atol=1e-15)
+
+
+def half_step_one_by_one(X, W, e, h, cur, other, s2, alpha, left, ortho):
+    """_half_step with its halvings tried one at a time, each with its own
+    weights pass. Returns (its result, the number of tries)."""
+    if left:
+        target, gain = rank1._target(X, W, cur, other, s2, alpha, ortho,
+                                     "row")
+    else:
+        target, gain = rank1._target(X.T, W.T, cur, other, s2, alpha, ortho,
+                                     "column")
+    t = 1.0
+    tries = 0
+    for _ in range(40):
+        cand = cur + t * (target - cur)
+        e_c = X - (cand[:, None] * other if left else other[:, None] * cand)
+        W_c = weights(e_c, s2, alpha)
+        tries += 1
+        h_c = h_value(e_c, s2, alpha, W_c)
+        if h_c < h:
+            cur, h, e, W = cand, h_c, e_c, W_c
+            break
+        t *= 0.5
+        if t * gain <= rank1.STALL_RTOL * abs(h):
+            break
+    lam = math.sqrt(cur.dot(cur))
+    return (lam, cur / lam, h, e, W), tries
+
+
+class TestStackedSearch:
+    """_half_step tries the full step alone, then the halvings as stacks
+    of sqrt(BATCH_CELLS / X.size) candidates, and must give the result of
+    trying them one by one, bit for bit, in one weights pass per stack."""
+
+    half_step = staticmethod(rank1._half_step)
+
+    def check(self, monkeypatch, X, W, e, h, cur, other, s2, alpha, left,
+              ortho):
+        """Compare _half_step with half_step_one_by_one; returns the
+        number of tries. A search that finds no decrease must evaluate
+        exactly the candidates the loop tried."""
+        passes, cells = [0], [0]
+
+        def counted(e, *args):
+            passes[0] += 1
+            cells[0] += e.size
+            return weights(e, *args)
+
+        monkeypatch.setattr(rank1, "weights", counted)
+        try:
+            got = self.half_step(X, W, e, h, cur, other, s2, alpha, left,
+                                 ortho)
+        finally:
+            monkeypatch.setattr(rank1, "weights", weights)
+        want, tries = half_step_one_by_one(X, W, e, h, cur, other, s2, alpha,
+                                           left, ortho)
+        lam, u, h_out, e_out, W_out = got
+        assert lam == want[0] and h_out == want[2]
+        for a, b in zip((u, e_out, W_out), (want[1], want[3], want[4])):
+            assert np.array_equal(a, b)
+        chunk = max(1, int(math.sqrt(rank1.BATCH_CELLS / X.size)))
+        assert passes[0] == 1 + -(-(tries - 1) // chunk)
+        if h_out == h:
+            assert cells[0] == tries * X.size
+        return tries
+
+    def recorded(self, monkeypatch, alphas, replicates):
+        """Check every half-step of rank-4 fits of S2c study replicates;
+        returns {(alpha, layer, left): [tries of each step]}."""
+        seen = {}
+
+        def compared(X, W, e, h, cur, other, s2, alpha, left, ortho):
+            tries = self.check(monkeypatch, X, W, e, h, cur, other, s2,
+                               alpha, left, ortho)
+            layer = 0 if ortho is None else ortho.shape[1]
+            seen.setdefault((alpha, layer, left), []).append(tries)
+            return self.half_step(X, W, e, h, cur, other, s2, alpha, left,
+                                  ortho)
+
+        monkeypatch.setattr(rank1, "_half_step", compared)
+        for rep in range(replicates):
+            X = (make_ground_truth().X0
+                 + sample_noise("S2c", np.random.default_rng([1, rep]))[0])
+            for alpha in alphas:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    fit_svd(X, 4, SolverOptions(alpha=alpha))
+        return seen
+
+    def test_study_layers(self, monkeypatch):
+        """Row and column half-steps of layers 0-3 at alpha 0.5 and 1,
+        with steps that win at once, after halvings, and not at all."""
+        seen = self.recorded(monkeypatch, (0.5, 1.0), 2)
+        assert set(seen) == {(a, k, left) for a in (0.5, 1.0)
+                             for k in range(4) for left in (True, False)}
+        tries = np.concatenate(list(seen.values()))
+        assert np.any(tries == 1) and np.any(tries > 10)
+
+    @pytest.mark.parametrize("factor", [1, 3, 7])
+    def test_chunk_splits(self, monkeypatch, factor):
+        """Stacks of 1, 3 and 7 halvings, with winners past the second
+        stack and, in stacks of 3 and 7, behind a rejected candidate of
+        their own stack."""
+        monkeypatch.setattr(rank1, "BATCH_CELLS", factor ** 2 * 40)
+        tries = np.concatenate(list(
+            self.recorded(monkeypatch, (1.0,), 1).values()))
+        assert np.any(tries > 1 + factor)
+        if factor > 1:
+            assert np.any((tries > 1) & ((tries - 2) % factor != 0))
+
+    def test_uphill_target(self, monkeypatch):
+        """The constrained seed-38 target is uphill: one try, no move."""
+        X, cur, other, s2, ortho = half_step_problem(38, True)
+        e = X - np.outer(cur, other)
+        W = weights(e, s2, 3.0)
+        h = h_value(e, s2, 3.0, W)
+        assert self.check(monkeypatch, X, W, e, h, cur, other, s2, 3.0, True,
+                          ortho) == 1
+
+    @pytest.mark.parametrize("factor", [None, 1, 3, 7])
+    @pytest.mark.parametrize("left", [True, False])
+    def test_search_runs_to_the_cap(self, monkeypatch, factor, left):
+        """Asked to beat an h below every candidate's, a downhill search
+        halves until the 40-try guard and keeps its start."""
+        if factor is not None:
+            monkeypatch.setattr(rank1, "BATCH_CELLS", factor ** 2 * 60)
+        X, cur, other, s2, _ = half_step_problem(5, False)
+        if not left:
+            cur, other = other * np.linalg.norm(cur), cur / np.linalg.norm(cur)
+        e = X - (np.outer(cur, other) if left else np.outer(other, cur))
+        W = weights(e, s2, 1.0)
+        h = h_value(e, s2, 1.0, W) - 1.0
+        assert self.check(monkeypatch, X, W, e, h, cur, other, s2, 1.0, left,
+                          None) == 40
+
+    @pytest.mark.parametrize("lower", [0.0, 1.0])
+    def test_nan_gain(self, monkeypatch, lower):
+        """A NaN gain meets no stop test: the search runs until a
+        candidate wins or the guard ends it."""
+        target = rank1._target
+        monkeypatch.setattr(rank1, "_target",
+                            lambda *args: (target(*args)[0], math.nan))
+        X, cur, other, s2, _ = half_step_problem(5, False)
+        e = X - np.outer(cur, other)
+        W = weights(e, s2, 1.0)
+        h = h_value(e, s2, 1.0, W) - lower
+        tries = self.check(monkeypatch, X, W, e, h, cur, other, s2, 1.0, True,
+                           None)
+        assert tries == (40 if lower else 1)
+
+    def test_large_x_makes_one_pass_per_try(self, monkeypatch):
+        """Above BATCH_CELLS cells each stack holds one candidate."""
+        rng = np.random.default_rng(7)
+        n, p = 400, 200
+        assert n * p > rank1.BATCH_CELLS
+        u, v = unit(rng, n), unit(rng, p)
+        X = 60.0 * np.outer(u, v) + rng.standard_normal((n, p))
+        cur, other = 50.0 * u + 0.01 * rng.standard_normal(n), v
+        e = X - np.outer(cur, other)
+        W = weights(e, 1.0, 0.5)
+        h = h_value(e, 1.0, 0.5, W)
+        for h_asked in (h, h - 1.0):
+            tries = self.check(monkeypatch, X, W, e, h_asked, cur, other,
+                               1.0, 0.5, True, None)
+            assert tries == (1 if h_asked == h else 40)
 
 
 class TestCarriedWeights:
@@ -786,6 +952,48 @@ class TestFitRank1:
     def test_zero_matrix_raises_rank_collapse(self, alpha):
         with pytest.raises(RankCollapse, match="rank collapse"):
             fit_rank1(np.zeros((4, 3)), SolverOptions(alpha=alpha))
+
+
+class TestSolveSetup:
+    """What _solve computes from X before its first cycle."""
+
+    def test_mean_square_taken_once(self, monkeypatch):
+        """mean X^2 serves both the sigma2 floor and the packing scale."""
+        X = rank1_matrix()[0] + 0.1
+        mean = np.mean
+        squares = [0]
+
+        def counted(a, *args, **kwargs):
+            if np.shape(a) == X.shape and np.array_equal(a, X * X):
+                squares[0] += 1
+            return mean(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "mean", counted)
+        rank1._solve(X, SolverOptions(alpha=0.5, max_iter=1))
+        assert squares[0] == 1
+        ms = mean(X * X)
+        assert sigma_floor(X, None, ms) == sigma_floor(X)
+        assert sigma_floor(X, 0.25, ms) == 0.25
+
+    @pytest.mark.parametrize("init, caps", [("screened", 1), ("classical", 0),
+                                            ("random", 0)])
+    def test_spike_cap_svd_only_for_a_screened_start(self, monkeypatch,
+                                                     init, caps):
+        """The spike cap's singular values (compute_uv=False) are taken
+        only when the start is "screened", the one policy that restarts."""
+        X = rank1_matrix()[0] + 0.1 * np.random.default_rng(4).standard_normal(
+            (8, 5))
+        svd = np.linalg.svd
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        rank1._solve(X, SolverOptions(alpha=0.5, init=init, seed=1))
+        assert calls.count(False) == caps
+        assert calls.count(True) == (0 if init == "random" else 1)
 
 
 class TestProvidedStart:
