@@ -86,18 +86,14 @@ def _mean(x):
 
 
 def h_value(e, sigma2, alpha, W=None):
-    """Objective h: mean per-cell divergence for residual array e.
+    """Objective h: the mean of the per-cell divergence (_cells) over the
+    residual array e, at every alpha.
 
-    W, if given, holds weights(e, sigma2, alpha) already computed. At
-    alpha = 0 it is mean(e^2) / (2 sigma2) + log(sigma2) / 2, which takes
-    one pass over the cells where the mean of _cells takes three. A
+    W, if given, holds weights(e, sigma2, alpha) already computed. A
     stack e of shape (k, n, p) gives an array of k values, the h of each
     e[i] bit for bit; a matrix gives a float.
     """
-    if alpha == 0.0:
-        h = _mean(e * e) / (2.0 * sigma2) + 0.5 * np.log(sigma2)
-    else:
-        h = _mean(_cells(e, sigma2, alpha, W))
+    h = _mean(_cells(e, sigma2, alpha, W))
     return float(h) if e.ndim < 3 else h
 
 

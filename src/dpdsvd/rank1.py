@@ -475,37 +475,35 @@ def _polish_terms(X, a, b, t, alpha):
     return ga, gb, gt, Da, Db, M, wa, wb, htt
 
 
-def _solve_bordered(Da, Db, M, wa, wb, htt, B, g, tau):
+def _solve_bordered(Da, Db, M, wa, wb, htt, a, b, g, tau):
     """Newton step of the bordered system; None when the step must be damped.
 
-    The Hessian has diagonal a-a and b-b blocks, dense a-b coupling, a scale
-    border, and Lagrange columns B (the polish passes the gauge alone).
-    g is the gradient in (a, b, t); the constraint rows' right-hand side
-    is zero.
+    The Hessian has diagonal a-a and b-b blocks, dense a-b coupling and a
+    scale border. Its one Lagrange border is the scaling gauge
+    z = (a, -b, 0) / |z|, the direction along which h does not change,
+    built here from a and b; its row's right-hand side is zero. g is the
+    gradient in (a, b, t).
     The diagonal a-block is eliminated (Schur complement), O(n p^2) instead
     of O((n+p)^3); it must be positive, so a non-positive entry of Da + tau
     returns None, as does a singular complement.
     """
     n = Da.shape[0]
     p = Db.shape[0]
-    dim = n + p + 1
-    nc = B.shape[1]
     D = Da + tau
     if np.min(D) <= 1e-300:
         return None
-    C = np.concatenate([M, wa[:, None], B[:n]], axis=1)
-    m = p + 1 + nc
-    E = np.zeros((m, m))
+    z = np.concatenate([a, -b, [0.0]])
+    z /= np.linalg.norm(z)
+    C = np.concatenate([M, wa[:, None], z[:n, None]], axis=1)
+    E = np.zeros((p + 2, p + 2))
     E[:p, :p] = np.diag(Db + tau)
     E[:p, p] = wb
     E[p, :p] = wb
     E[p, p] = htt + tau
-    E[:p, p + 1:] = B[n:n + p]
-    E[p + 1:, :p] = B[n:n + p].T
-    E[p, p + 1:] = B[dim - 1]
-    E[p + 1:, p] = B[dim - 1]
+    E[:p, p + 1] = z[n:n + p]
+    E[p + 1, :p] = z[n:n + p]
     r1 = -g[:n]
-    r2 = np.concatenate([-g[n:n + p], [-g[dim - 1]], np.zeros(nc)])
+    r2 = np.concatenate([-g[n:], [0.0]])
     CD = C / D[:, None]
     S = E - C.T @ CD
     try:
@@ -520,17 +518,18 @@ def _newton_polish(X, lam, u, v, s2, alpha, eps):
     """Drive an unconstrained fit to the exact stationary point of h.
 
     Full Newton in (a, b, ln sigma2) with the scaling gauge (a, -b, 0) as
-    a Lagrange border. Steps are trust capped, damped when the system is
-    indefinite, and only accepted when h does not increase, so the descent
-    trace stays monotone.
+    its one Lagrange border (_solve_bordered). Steps are trust capped,
+    damped when the system is indefinite, and only accepted when h does
+    not increase, so the descent trace stays monotone.
 
     Working set: besides X, at most five arrays the size of X at once
     (in _polish_terms; the last step's M is freed before the next is
     built), plus the two n x (p+2) blocks of the bordered solve. Measured
-    peak: 5.15 times X.nbytes on a 400x100 matrix, 5.06 on a 2000x200 one.
+    peak: 5.12 times X.nbytes on a 400x100 matrix, 5.05 on a 2000x200 one.
+    That is not the fit's peak, which lies in _solve's iteration, at
+    10-11 times X.nbytes (README).
     """
     n, p = X.shape
-    dim = n + p + 1
     a = lam * u
     b = v.copy()
     t = float(np.log(s2))
@@ -541,18 +540,16 @@ def _newton_polish(X, lam, u, v, s2, alpha, eps):
         M = None            # the last step's M is freed before the next
         ga, gb, gt, Da, Db, M, wa, wb, htt = _polish_terms(X, a, b, t,
                                                            alpha)
-        z = np.concatenate([a, -b, [0.0]])
-        B = (z / np.linalg.norm(z))[:, None]
         g = np.concatenate([ga, gb, [gt]])
         cap = 1e-3 * (1.0 + max(np.max(np.abs(a)), np.max(np.abs(b)), abs(t)))
         for _try in range(12):
             # a try that does not solve, leaves the trust cap (a NaN step
             # fails the comparison) or raises h is damped
-            d = _solve_bordered(Da, Db, M, wa, wb, htt, B, g, tau)
+            d = _solve_bordered(Da, Db, M, wa, wb, htt, a, b, g, tau)
             if d is not None and np.max(np.abs(d)) <= cap:
                 an = a + d[:n]
                 bn = b + d[n:n + p]
-                tn = max(t + d[dim - 1], t_floor)
+                tn = max(t + d[-1], t_floor)
                 hn = h_value(X - np.outer(an, bn), np.exp(tn), alpha)
                 if np.isfinite(hn) and hn <= h + 1e-14 * (1.0 + abs(h)):
                     break

@@ -39,8 +39,6 @@ def canonical_setup(name):
     for s in SETUPS:
         if s.lower() == low:
             return s
-    if low == "clean":
-        return "clean"
     raise ValueError(f"unknown setup {name!r}")
 
 
@@ -56,8 +54,8 @@ class GroundTruth:
 class SimConfig:
     """One simulation run: a setup, replicate count, alphas, seed.
 
-    setup "clean" is an internal zero-noise mode used by tests. solver
-    carries every option except alpha, which is swept per row.
+    setup is one of SETUPS, in any case. solver carries every option
+    except alpha, which is swept per row.
     """
     setup: str
     replicates: int = DEFAULT_REPLICATES
@@ -156,8 +154,6 @@ def sample_noise(setup, rng, shape=(10, 4)):
     """
     s = canonical_setup(setup).lower()
     n, p = shape
-    if s == "clean":
-        return np.zeros(shape), None
     if s == "s1":
         return rng.standard_normal(shape), None
     if s in CONTAMINATION:

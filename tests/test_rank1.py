@@ -1083,35 +1083,37 @@ class TestClassicalClosedForm:
             fit_rank1(np.zeros((4, 3)))
 
 
-def bordered_system(seed, n, p, nc):
+def bordered_system(seed, n, p):
     rng = np.random.default_rng(seed)
-    dim = n + p + 1
     Da = rng.uniform(1.0, 2.0, n)
     Db = rng.uniform(1.0, 2.0, p)
     M = 0.1 * rng.standard_normal((n, p))
     wa = 0.1 * rng.standard_normal(n)
     wb = 0.1 * rng.standard_normal(p)
     htt = 1.5
-    B = rng.standard_normal((dim, nc))
-    g = np.concatenate([rng.standard_normal(dim), np.zeros(nc)])
-    return Da, Db, M, wa, wb, htt, B, g
+    a = rng.standard_normal(n)
+    b = rng.standard_normal(p)
+    g = rng.standard_normal(n + p + 1)
+    return Da, Db, M, wa, wb, htt, a, b, g
 
 
 class TestBorderedSolve:
-    @pytest.mark.parametrize("seed, n, p, nc", [
-        pytest.param(31, 40, 30, 2, id="40x30"),
-        pytest.param(32, 10, 4, 1, id="10x4"),
+    @pytest.mark.parametrize("seed, n, p", [
+        pytest.param(31, 40, 30, id="40x30"),
+        pytest.param(32, 10, 4, id="10x4"),
     ])
-    def test_schur_path_matches_dense_oracle(self, seed, n, p, nc):
+    def test_schur_path_matches_dense_oracle(self, seed, n, p):
         # the solver eliminates the diagonal a-block; the result must match
-        # a dense solve of the same bordered system, small or large
-        Da, Db, M, wa, wb, htt, B, g = bordered_system(seed, n, p, nc)
+        # a dense solve of the same system bordered by the scaling gauge
+        # (a, -b, 0) / |z|, small or large
+        Da, Db, M, wa, wb, htt, a, b, g = bordered_system(seed, n, p)
         dim = n + p + 1
         tau = 1e-3
 
-        got = _solve_bordered(Da, Db, M, wa, wb, htt, B, g, tau)
+        got = _solve_bordered(Da, Db, M, wa, wb, htt, a, b, g, tau)
 
-        H = np.zeros((dim + nc, dim + nc))
+        z = np.concatenate([a, -b, [0.0]])
+        H = np.zeros((dim + 1, dim + 1))
         H[:n, :n] = np.diag(Da + tau)
         H[n:n + p, n:n + p] = np.diag(Db + tau)
         H[:n, n:n + p] = M
@@ -1121,19 +1123,19 @@ class TestBorderedSolve:
         H[n:n + p, dim - 1] = wb
         H[dim - 1, n:n + p] = wb
         H[dim - 1, dim - 1] = htt + tau
-        H[:dim, dim:] = B
-        H[dim:, :dim] = B.T
-        want = np.linalg.solve(H, -g)[:dim]
+        H[:dim, dim] = z / np.linalg.norm(z)
+        H[dim, :dim] = z / np.linalg.norm(z)
+        want = np.linalg.solve(H, np.concatenate([-g, [0.0]]))[:dim]
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_nonpositive_row_block_asks_for_damping(self):
         # the a-block cannot be eliminated while an entry of Da + tau is not
         # positive; the polish then raises tau until it is
-        Da, Db, M, wa, wb, htt, B, g = bordered_system(33, 10, 4, 1)
+        Da, Db, M, wa, wb, htt, a, b, g = bordered_system(33, 10, 4)
         Da[3] = -0.5
-        assert _solve_bordered(Da, Db, M, wa, wb, htt, B, g, 0.0) is None
-        assert _solve_bordered(Da, Db, M, wa, wb, htt, B, g, 0.1) is None
-        step = _solve_bordered(Da, Db, M, wa, wb, htt, B, g, 1.0)
+        assert _solve_bordered(Da, Db, M, wa, wb, htt, a, b, g, 0.0) is None
+        assert _solve_bordered(Da, Db, M, wa, wb, htt, a, b, g, 0.1) is None
+        step = _solve_bordered(Da, Db, M, wa, wb, htt, a, b, g, 1.0)
         assert step is not None and np.all(np.isfinite(step))
 
 

@@ -82,19 +82,14 @@ class TestCanonicalSetup:
     def test_case_insensitive(self):
         assert canonical_setup("s2C") == "S2c"
         assert canonical_setup("S1") == "S1"
-        assert canonical_setup("CLEAN") == "clean"
 
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            canonical_setup("s9")
+        for name in ("s9", "clean"):
+            with pytest.raises(ValueError):
+                canonical_setup(name)
 
 
 class TestSampleNoise:
-    def test_clean_is_exact_zero(self):
-        E, mask = sample_noise("clean", np.random.default_rng(0))
-        assert mask is None
-        assert not E.any()
-
     def test_same_seed_is_bit_identical(self):
         for setup in ("S1", "S2b", "S3", "S4", "S5"):
             E1, m1 = sample_noise(setup, np.random.default_rng(123))
@@ -232,11 +227,13 @@ class TestReduce:
 
 
 class TestRunSimulation:
-    def test_clean_setup_recovers_exactly(self):
+    def test_noise_free_replicates_recover_exactly(self, monkeypatch):
         # the least squares path reproduces the noise-free truth; positive
         # alpha stops short of the full singular values on noise-free data
-        # (see the decomposition tests), so the degenerate mode pins alpha 0
-        cfg = SimConfig("clean", replicates=3, alphas=(0.0,), seed=1)
+        # (see the decomposition tests), so the zero-noise run pins alpha 0
+        monkeypatch.setattr(sim, "sample_noise",
+                            lambda setup, rng, shape: (np.zeros(shape), None))
+        cfg = SimConfig("S1", replicates=3, alphas=(0.0,), seed=1)
         rep = run_simulation(cfg)
         for row in rep.rows:
             assert row.failures == 0
