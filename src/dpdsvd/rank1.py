@@ -373,6 +373,7 @@ def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
     if h_c < h:
         cur, h, e, W = cand, h_c, e_c, W_c
     else:
+        e_c = W_c = None    # freed before the halvings' stacks are built
         # the try at 1/2**i follows only if no earlier halving met the
         # stop test; a NaN gain or h meets none
         stop = HALVINGS[1:] * gain <= STALL_RTOL * abs(h)
@@ -394,11 +395,16 @@ def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
     return lam, cur / lam, h, e, W
 
 
-def _one_cycle(X, alpha, lam, u, v, s2, h, e, W, ortho_u, ortho_v, eps):
+def _one_cycle(X, alpha, st, ortho_u, ortho_v, eps):
     """Row half-step, column half-step, then the scale update, kept only
-    if it does not raise h. W is weights(e, s2, alpha), and so is the W
-    returned: the half-steps hand back the weights of the point they
-    reach, and the scale update's weights are kept with its sigma2."""
+    if it does not raise h. st is the iterate [lam, u, v, s2, h, e, W],
+    with W = weights(e, s2, alpha); the cycle empties it, so its e and W
+    are freed once the row half-step has replaced them. The iterate
+    returned is a new list of the same form: the half-steps hand back the
+    weights of the point they reach, and the scale update's weights are
+    kept with its sigma2."""
+    lam, u, v, s2, h, e, W = st
+    st.clear()
     lam, u, h, e, W = _half_step(X, W, e, h, lam * u, v, s2, alpha, True,
                                  ortho_u)
     lam, v, h, e, W = _half_step(X, W, e, h, lam * v, u, s2, alpha, False,
@@ -408,7 +414,7 @@ def _one_cycle(X, alpha, lam, u, v, s2, h, e, W, ortho_u, ortho_v, eps):
     h_c = h_value(e, s2_c, alpha, W_c)
     if h_c <= h:
         s2, h, W = s2_c, h_c, W_c
-    return lam, u, v, s2, h, e, W
+    return [lam, u, v, s2, h, e, W]
 
 
 def _polish_terms(X, a, b, t, alpha):
@@ -527,7 +533,7 @@ def _newton_polish(X, lam, u, v, s2, alpha, eps):
     built), plus the two n x (p+2) blocks of the bordered solve. Measured
     peak: 5.12 times X.nbytes on a 400x100 matrix, 5.05 on a 2000x200 one.
     That is not the fit's peak, which lies in _solve's iteration, at
-    10-11 times X.nbytes (README).
+    7-8 times X.nbytes on a 2000x200 matrix (README, tools/fit_memory.py).
     """
     n, p = X.shape
     a = lam * u
@@ -623,12 +629,16 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
     layer 3's lambda to -1.85% of planted (outside the 1% check) and
     slowed the fit from 10.6 s to 14.7 s.
 
-    The iterate is one tuple (lam, u, v, s2, h, e, W): the state, h
-    there, the residuals and weights(e, s2, alpha). A state keeps e and
-    W only while it is still to be cycled: once cycled, the previous
-    state and the middle state of an extrapolation are cut to (lam, u,
-    v, s2, h), and an extrapolated state is dropped once compared, so
-    carrying W adds no array to the solver's peak.
+    The iterate is one list [lam, u, v, s2, h, e, W]: the state, h
+    there, the residuals and weights(e, s2, alpha). Each array is held
+    only while a next step needs it. The previous state and the middle
+    state of an extrapolation are cut to (lam, u, v, s2, h) before their
+    cycle runs, and the cycle empties the list it is given (_one_cycle),
+    so a state's e and W are freed once its row half-step has replaced
+    them. While an extrapolated state is cycled, the current state keeps
+    its e but not its W; if the extrapolation loses, W is rebuilt as
+    weights(e, s2, alpha), which is the W it carried, bit for bit. That
+    costs one weights pass per lost extrapolation.
     """
     alpha = opts.alpha
     tol = opts.tol
@@ -641,10 +651,10 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
     def start(lam, u, v, s2):
         e = X - lam * (u[:, None] * v)
         W = weights(e, s2, alpha)
-        return lam, u, v, s2, h_value(e, s2, alpha, W), e, W
+        return [lam, u, v, s2, h_value(e, s2, alpha, W), e, W]
 
     def cycle(st):
-        return _one_cycle(X, alpha, *st, ortho_u, ortho_v, eps)
+        return _one_cycle(X, alpha, st, ortho_u, ortho_v, eps)
 
     def pack(st):
         lam, u, v, s2 = st[:4]
@@ -679,7 +689,7 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
     while it_total < max_iter:
         it += 1
         it_total += 1
-        # a cycled state is cut to (lam, u, v, s2, h), freeing e and W
+        # the cut is made before the cycle empties st (_one_cycle)
         prev, st = st[:5], cycle(st)
         if it > PLAIN_FIRST:
             st1, st = st[:5], cycle(st)
@@ -691,12 +701,15 @@ def _solve(X, opts, ortho_u=None, ortho_v=None):
                 sq = -math.sqrt(r.dot(r)) / nw
                 acc = unpack(th0 - 2.0 * sq * r + sq * sq * w)
                 if acc is not None and math.isfinite(acc[4]):
+                    st[6] = None    # rebuilt below if acc loses
                     try:
                         acc = cycle(acc)
                     except FloatingPointError:
                         acc = None
                     if acc is not None and acc[4] < st[4]:
                         st = acc
+                    else:
+                        st[6] = weights(st[5], st[3], alpha)
                 acc = None
         lam, u, v, s2, h = st[:5]
         if lam > lam_cap and not restarted:
