@@ -77,35 +77,30 @@ def _solver_options(args):
                          init=args.init, seed=_seed(args))
 
 
-def _float_cell(x):
-    return repr(float(x))
-
-
 def _decomposition_json(dec):
     payload = {
-        "lambdas": [float(x) for x in dec.lambdas],
-        "u": [[float(x) for x in row] for row in dec.U],
-        "v": [[float(x) for x in row] for row in dec.V],
-        "sigma2": [float(x) for x in dec.sigma2s],
+        "lambdas": dec.lambdas.tolist(),
+        "u": dec.U.tolist(),
+        "v": dec.V.tolist(),
+        "sigma2": dec.sigma2s.tolist(),
         "diagnostics": [
             {"layer": k, "iterations": d.iterations,
-             "converged": bool(d.converged),
-             "trace": [float(x) for x in d.trace]}
+             "converged": bool(d.converged), "trace": d.trace.tolist()}
             for k, d in enumerate(dec.diagnostics)],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _decomposition_csv(dec):
-    lines = ["# lambdas", ",".join(_float_cell(x) for x in dec.lambdas)]
-    lines.append("# U")
-    lines += [",".join(_float_cell(x) for x in row) for row in dec.U]
+    def row(values):
+        return ",".join(map(repr, values))
+
+    lines = ["# lambdas", row(dec.lambdas.tolist()), "# U"]
+    lines += map(row, dec.U.tolist())
     lines.append("# V")
-    lines += [",".join(_float_cell(x) for x in row) for row in dec.V]
-    lines.append("# sigma2")
-    lines.append(",".join(_float_cell(x) for x in dec.sigma2s))
-    lines.append("# diagnostics")
-    lines.append("layer,iterations,converged")
+    lines += map(row, dec.V.tolist())
+    lines += ["# sigma2", row(dec.sigma2s.tolist()), "# diagnostics",
+              "layer,iterations,converged"]
     lines += [f"{k},{d.iterations},{d.converged}"
               for k, d in enumerate(dec.diagnostics)]
     return "\n".join(lines) + "\n"

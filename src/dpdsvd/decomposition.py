@@ -18,7 +18,10 @@ layer 0 that stops at max_iter is returned unpolished. Layers 1.. stop
 where projected descent stalls (a projected regression target need not
 lower h) and are not polished, so they are near, not at, the constrained
 stationary point. A provided start serves layer 0 only; layers 1..
-start from the "screened" policy. rank1._solve holds both rules and the
+start from the "screened" policy. A layer 0 from a "screened" start
+whose lambda passes the spike cap (SPIKE_FACTOR times the top singular
+value of X) is solved again from "classical" on the iterations left;
+layers 1.. never restart. rank1._solve holds these rules and the
 measurements behind them.
 
 The equivariance checks (check_equivariance_scale and

@@ -1,6 +1,9 @@
 """Rank-one solver: update operators, full fits, and equivariance checks."""
 import importlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -969,6 +972,26 @@ class TestFitRank1:
         assert out["conv"]
         assert np.all(np.diff(out["trace"]) <= 1e-10)
 
+    def test_spike_restart_with_no_iterations_left(self):
+        """The draw of test_spike_restart passes the cap at iteration 1:
+        at max_iter 1 the second solve has no iterations left and returns
+        the classical start, unconverged, after 1 iteration."""
+        rng = np.random.default_rng([11, 0, 58])
+        uu = rng.standard_normal(10)
+        vv = rng.standard_normal(4)
+        lam0 = rng.uniform(8.0, 15.0)
+        E = rng.standard_normal((10, 4))
+        X = lam0 * np.outer(uu / np.linalg.norm(uu),
+                            vv / np.linalg.norm(vv)) + E
+        out = rank1._solve(X, SolverOptions(alpha=0.5, max_iter=1))
+        lam, u, v, s2 = rank1._init(X, "classical", sigma_floor(X))
+        assert out["restarted"]
+        assert not out["conv"]
+        assert out["it"] == 1
+        assert out["trace"].shape == (1,)
+        assert out["lam"] == lam
+        assert out["s2"] == s2
+
     def test_input_validation(self):
         with pytest.raises(NonFiniteInput):
             fit_rank1(np.array([[1.0, np.nan], [0.0, 1.0]]))
@@ -1025,6 +1048,59 @@ class TestSolveSetup:
         rank1._solve(X, SolverOptions(alpha=0.5, init=init, seed=1))
         assert calls.count(False) == caps
         assert calls.count(True) == (0 if init == "random" else 1)
+
+    def test_spike_cap_svd_only_for_the_free_layer(self, monkeypatch):
+        """A rank-3 fit from a screened start takes the spike cap's
+        singular values once, for layer 0: deflated layers never restart,
+        so they take no cap (one per layer took 3)."""
+        X = rank1_matrix()[0] + 0.1 * np.random.default_rng(4).standard_normal(
+            (8, 5))
+        svd = np.linalg.svd
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        fit_svd(X, 3, SolverOptions(alpha=0.5))
+        assert calls.count(False) == 1
+
+
+class TestRobustScale:
+    """rank1._mad, the robust scale of the start's screening and sigma2."""
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (39,), (40,), (4000,),
+                                       (40, 7), (39, 9)])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_equals_numpy_median(self, shape, ties):
+        """1.4826 median |x| bit for bit, at odd and even sizes, 2-D,
+        and with ties at the contamination value 25."""
+        rng = np.random.default_rng(list(shape) + [ties])
+        x = rng.standard_normal(shape)
+        if ties:
+            x[rng.random(shape) < 0.5] = 25.0
+        assert rank1._mad(x) == 1.4826 * np.median(np.abs(x))
+
+    def test_fit_loads_no_module(self):
+        """An alpha-0.5 fit in an interpreter that has imported numpy and
+        dpdsvd imports nothing more: np.median imported numpy.ma,
+        numpy.ma.core and numpy.ma.extras on its first call (NumPy 2)."""
+        pkg = os.path.dirname(os.path.dirname(os.path.abspath(
+            rank1.__file__)))
+        code = ("import sys, numpy, dpdsvd\n"
+                "X = numpy.random.default_rng(0).standard_normal((10, 4))\n"
+                "X[0, 0] = 25.0\n"
+                "before = set(sys.modules)\n"
+                "dpdsvd.fit_svd(X, 2, dpdsvd.SolverOptions(alpha=0.5))\n"
+                "print(' '.join(sorted(set(sys.modules) - before)))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (pkg, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              check=True, timeout=120)
+        assert proc.stdout.split() == []
 
 
 class TestProvidedStart:

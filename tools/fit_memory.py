@@ -5,15 +5,16 @@
 Each fit is fit_svd at alpha 0.5 of the benchmark's planted matrix
 workloads.planted(0, shape): 400x100 at rank 1, and 2000x200 at ranks 1
 and 3. X is allocated before tracing starts, so a peak counts what the
-fit allocates, not X itself, and a small fit runs first, since the
-first np.median of a process may import numpy.ma (about 1.1 MB). Next to the whole fit's peak, each phase
-gets the largest peak of its calls: the start (rank1._init), the
-regression half-steps (_half_step), the scale solves (_sigma_solve) and
-the Newton polish (_newton_polish). A phase's peak includes what is
-alive when it is entered, such as the running residual of a deflated
-layer and the iterate's residuals and weights. "other" is the rest of
-the fit: the iterate's own passes in _solve, the deflation and the
-layer loop.
+fit allocates, not X itself, and a small fit runs first: the first fit
+of a process imports no module, but it allocates about 1.7 KB more than
+later ones inside NumPy's first ufunc calls, which moved the 400x100
+peak by 0.004 X.nbytes. Next to the whole fit's peak, each phase gets
+the largest peak of its calls: the start (rank1._init), the regression
+half-steps (_half_step), the scale solves (_sigma_solve) and the Newton
+polish (_newton_polish). A phase's peak includes what is alive when it
+is entered, such as the running residual of a deflated layer and the
+iterate's residuals and weights. "other" is the rest of the fit: the
+iterate's own passes in _solve, the deflation and the layer loop.
 """
 import functools
 import sys
