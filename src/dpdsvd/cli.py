@@ -5,20 +5,23 @@ Exit codes: 0 success, 2 invalid arguments, malformed input or an
 unwritable output path, 3 solver degeneracy. Anticipated errors print a
 one-line message on standard error. The environment variable RSVD_SEED
 supplies a fallback seed when --seed is not given; an RSVD_SEED that is
-not an integer exits 2.
+not an integer exits 2, and so does a negative seed from either. A flag
+left unset takes the library's default: the SolverOptions class
+attributes for decompose, the SimConfig ones for simulate.
 """
 import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from .bench import bench_to_csv, run_timing_bench
 from .decomposition import fit_svd
-from .rank1 import SolverOptions
-from .sim import (DEFAULT_REPLICATES, FULL_REPLICATES, SimConfig,
-                  format_table, report_to_csv, run_simulation)
+from .rank1 import INIT_POLICIES, SolverOptions
+from .sim import (FULL_REPLICATES, SETUPS, SimConfig, format_table,
+                  report_to_csv, run_simulation)
 
 
 def _fail(msg, code):
@@ -108,8 +111,11 @@ def _decomposition_csv(dec):
 
 def cmd_decompose(args):
     try:
-        X = np.loadtxt(args.input, delimiter=",",
-                       skiprows=1 if args.header else 0, ndmin=2)
+        with warnings.catch_warnings():
+            # an empty input is reported once, by _check_input
+            warnings.filterwarnings("ignore", "loadtxt: ", UserWarning)
+            X = np.loadtxt(args.input, delimiter=",",
+                           skiprows=1 if args.header else 0, ndmin=2)
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc}") from None
     except ValueError as exc:
@@ -122,11 +128,12 @@ def cmd_decompose(args):
 
 
 def cmd_simulate(args):
-    replicates = FULL_REPLICATES if args.full_scale else (
-        args.replicates if args.replicates is not None else DEFAULT_REPLICATES)
+    replicates = (FULL_REPLICATES if args.full_scale
+                  else args.replicates or SimConfig.replicates)
     seed = _seed(args)
     cfg = SimConfig(setup=args.setup, replicates=replicates,
-                    alphas=args.alphas, seed=42 if seed is None else seed)
+                    alphas=args.alphas,
+                    seed=SimConfig.seed if seed is None else seed)
     # opened before the run, so a bad path fails before any replicate
     with _open_output(args.output) as fh:
         report = run_simulation(cfg, threads=args.threads)
@@ -153,12 +160,13 @@ def build_parser():
     dec.add_argument("--input", required=True, help="numeric CSV matrix")
     dec.add_argument("--output", required=True, help="output file path")
     dec.add_argument("--rank", type=_positive_int, required=True)
-    dec.add_argument("--alpha", type=float, default=0.0)
-    dec.add_argument("--tol", type=float, default=1e-8)
-    dec.add_argument("--max-iter", type=_positive_int, default=100)
+    dec.add_argument("--alpha", type=float, default=SolverOptions.alpha)
+    dec.add_argument("--tol", type=float, default=SolverOptions.tol)
+    dec.add_argument("--max-iter", type=_positive_int,
+                     default=SolverOptions.max_iter)
     dec.add_argument("--eps-sigma", type=float, default=None)
-    dec.add_argument("--init", default="screened",
-                     choices=("screened", "classical", "random"))
+    dec.add_argument("--init", default=SolverOptions.init,
+                     choices=INIT_POLICIES)
     dec.add_argument("--seed", type=int, default=None)
     dec.add_argument("--format", default="json", choices=("csv", "json"))
     dec.add_argument("--header", action="store_true",
@@ -167,12 +175,12 @@ def build_parser():
 
     sim = sub.add_parser("simulate", help="run the Monte Carlo study")
     sim.add_argument("--setup", required=True,
-                     help="one of S1, S2a, S2b, S2c, S3, S4, S5")
+                     help=f"one of {', '.join(SETUPS)}")
     scale = sim.add_mutually_exclusive_group()
     scale.add_argument("--replicates", type=_positive_int, default=None)
     scale.add_argument("--full-scale", action="store_true",
                        help=f"full-scale run with {FULL_REPLICATES} replicates")
-    sim.add_argument("--alphas", type=_float_list, default=(0.1, 0.5, 1.0))
+    sim.add_argument("--alphas", type=_float_list, default=SimConfig.alphas)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--output", default="sim_report.csv")
     sim.add_argument("--threads", type=_positive_int, default=1,

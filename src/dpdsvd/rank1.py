@@ -84,10 +84,11 @@ class SolverOptions:
     init selects the starting point: "screened" (default) takes the top
     SVD pair of an outlier-screened copy of the data; "classical" the top
     SVD pair of the data itself; "random" seeded random unit vectors
-    (set seed); a Rank1Fit or (lambda, u, v, sigma2) tuple is used as is,
-    once a fit has checked it (_init), as the start of the unconstrained
-    fit only: _solve starts a deflated layer from "screened". eps_sigma
-    overrides the sigma2 floor (default 1e-10 max(1, mean X^2)).
+    (set seed, a non-negative integer); a Rank1Fit or (lambda, u, v,
+    sigma2) tuple is used as is, once a fit has checked it (_init), as
+    the start of the unconstrained fit only: _solve starts a deflated
+    layer from "screened". eps_sigma overrides the sigma2 floor (default
+    1e-10 max(1, mean X^2)).
     At alpha = 0 the fit is one SVD in closed form: tol, max_iter, init
     and seed have no effect there (an init string is still validated).
     """
@@ -109,6 +110,8 @@ class SolverOptions:
             raise ValueError(f"unknown init policy {self.init!r}")
         if self.eps_sigma is not None:
             _check_eps(self.eps_sigma)
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def _check_eps(eps):
@@ -601,8 +604,11 @@ def sigma_floor(X, eps_sigma=None, ms=None):
 
 
 def _check_input(X):
-    """X as a C-ordered float array; raises ValueError unless it is 2-D
-    with at least 2 rows and 2 columns, NonFiniteInput unless finite."""
+    """X as a C-ordered float array; raises ValueError unless it is real
+    and 2-D with at least 2 rows and 2 columns, NonFiniteInput unless
+    finite."""
+    if np.iscomplexobj(X):
+        raise ValueError("X must be real, not complex")
     X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be a 2-D matrix")
@@ -742,13 +748,13 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, budget=None):
         if rel < tol:
             converged = True
             break
-    lam, u, v, s2, h = st[:5]
+    lam, u, v, s2 = st[:4]
     st = None    # free its residuals and weights before the polish
     u, v = _flip_sign(u, v)
     if ortho_u is None and converged:
         lam, u, v, s2, h = _newton_polish(X, lam, u, v, s2, alpha, eps)
         trace.append(h)
-    return dict(lam=float(lam), u=u, v=v, s2=float(s2), h=h, it=it,
+    return dict(lam=float(lam), u=u, v=v, s2=float(s2), it=it,
                 conv=converged, restarted=False,
                 trace=np.array(trace, dtype=float))
 

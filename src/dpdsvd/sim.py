@@ -16,7 +16,7 @@ seed s draws from default_rng([s, r]), so replicates are independent
 streams and results do not depend on execution order. Replicates run in
 order in the calling thread.
 """
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ SETUPS = ("S1", "S2a", "S2b", "S2c", "S3", "S4", "S5")
 CONTAMINATION = {"s2a": 0.05, "s2b": 0.1, "s2c": 0.2}
 CONTAMINATION_VALUE = 25.0
 BLOCK = 2              # side of the substituted block in S3
-DEFAULT_REPLICATES = 200
 FULL_REPLICATES = 1000
 
 
@@ -54,14 +53,14 @@ class GroundTruth:
 class SimConfig:
     """One simulation run: a setup, replicate count, alphas, seed.
 
-    setup is one of SETUPS, in any case. solver carries every option
-    except alpha, which is swept per row.
+    setup is one of SETUPS, in any case; seed must be non-negative. Every
+    fit takes the solver's defaults at its row's alpha,
+    SolverOptions(alpha=alpha).
     """
     setup: str
-    replicates: int = DEFAULT_REPLICATES
+    replicates: int = 200
     alphas: tuple = (0.1, 0.5, 1.0)
     seed: int = 42
-    solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         self.setup = canonical_setup(self.setup)
@@ -72,6 +71,8 @@ class SimConfig:
         if not self.alphas:
             raise ValueError("alphas must be non-empty")
         self.seed = int(self.seed)
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -197,18 +198,17 @@ def _replicate(rep, truth, cfg, fit_alphas):
     out = {}
     for alpha in fit_alphas:
         try:
-            dec = fit_svd(X, rank, replace(cfg.solver, alpha=alpha))
+            dec = fit_svd(X, rank, SolverOptions(alpha=alpha))
             if not np.all(np.isfinite(dec.lambdas)):
                 raise FloatingPointError("non-finite singular value estimate")
         except FloatingPointError:
             out[alpha] = None
             continue
-        lams = np.asarray(dec.lambdas, dtype=float)
         dl = np.array([dissimilarity(truth.U_true[:, k], dec.U[:, k])
                        for k in range(n_true)])
         dr = np.array([dissimilarity(truth.V_true[:, k], dec.V[:, k])
                        for k in range(n_true)])
-        out[alpha] = (lams, dl, dr,
+        out[alpha] = (dec.lambdas, dl, dr,
                       sum(not d.converged for d in dec.diagnostics))
     return out
 

@@ -1,12 +1,13 @@
 """Command line interface: argument handling, outputs, exit codes."""
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from dpdsvd import cli
+from dpdsvd import SimConfig, SolverOptions, cli
 from dpdsvd.cli import main
-from dpdsvd.sim import make_ground_truth
+from dpdsvd.sim import FULL_REPLICATES, make_ground_truth
 
 
 @pytest.fixture
@@ -140,6 +141,41 @@ class TestDecompose:
         assert err.startswith("dpdsvd: error: cannot write")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("text, header", [("", False),
+                                              ("a,b,c\n", True)])
+    def test_empty_input_prints_one_line(self, tmp_path, capsys, text,
+                                         header):
+        """No data rows: one error line, with loadtxt's warning silenced."""
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        out = tmp_path / "o.json"
+        argv = ["decompose", "--input", path, "--output", out, "--rank", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--header"] * header) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_negative_seed_exits_2_and_writes_nothing(
+            self, truth_csv, tmp_path, capsys, monkeypatch, from_env):
+        out = tmp_path / "dec.json"
+        argv = ["decompose", "--input", truth_csv, "--output", out,
+                "--rank", "1", "--alpha", "0.5", "--init", "random"]
+        if from_env:
+            monkeypatch.setenv("RSVD_SEED", "-1")
+        else:
+            argv += ["--seed", "-1"]
+        assert run(argv) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unset_flags_take_the_solver_defaults(self, monkeypatch):
+        monkeypatch.delenv("RSVD_SEED", raising=False)
+        args = cli.build_parser().parse_args(
+            ["decompose", "--input", "x.csv", "--output", "o", "--rank", "1"])
+        assert cli._solver_options(args) == SolverOptions()
+
     def test_malformed_env_seed_exits_2(self, truth_csv, tmp_path, capsys,
                                         monkeypatch):
         monkeypatch.setenv("RSVD_SEED", "abc")
@@ -182,6 +218,36 @@ class TestSimulate:
         assert run(["simulate", "--setup", "S1", "--replicates", "2",
                     "--alphas", "0.5", "--output", out]) == 0
         assert "seed 7" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_negative_seed_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, from_env):
+        out = tmp_path / "rep.csv"
+        argv = ["simulate", "--setup", "S1", "--replicates", "2",
+                "--output", out]
+        if from_env:
+            monkeypatch.setenv("RSVD_SEED", "-1")
+        else:
+            argv += ["--seed", "-1"]
+        assert run(argv) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, want", [
+        ([], SimConfig("S1")),
+        (["--full-scale"], SimConfig("S1", replicates=FULL_REPLICATES))])
+    def test_unset_flags_take_the_sim_config_defaults(
+            self, tmp_path, monkeypatch, flags, want):
+        monkeypatch.delenv("RSVD_SEED", raising=False)
+        seen = []
+
+        def recorded(cfg, threads):
+            seen.append(cfg)
+            raise ValueError("stop")
+        monkeypatch.setattr(cli, "run_simulation", recorded)
+        assert run(["simulate", "--setup", "s1",
+                    "--output", tmp_path / "r.csv"] + flags) == 2
+        assert seen == [want]
 
     def test_malformed_env_seed_exits_2(self, tmp_path, capsys,
                                         monkeypatch):

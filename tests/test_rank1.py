@@ -841,6 +841,13 @@ class TestSolverOptions:
         with pytest.raises(ValueError):
             fit_rank1(X, SolverOptions(init="weird"))
 
+    def test_rejects_negative_seed(self):
+        """A negative seed is refused when the options are made, not only
+        inside a "random" fit."""
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SolverOptions(seed=-1)
+        assert SolverOptions(seed=0).seed == 0
+
 
 class TestFitRank1:
     def test_exact_rank1_recovery(self):
@@ -1065,6 +1072,63 @@ class TestSolveSetup:
         monkeypatch.setattr(np.linalg, "svd", recorded)
         fit_svd(X, 3, SolverOptions(alpha=0.5))
         assert calls.count(False) == 1
+
+
+class TestComplexInput:
+    """A complex X is refused, not fitted as its real part."""
+
+    X = (np.arange(12.0).reshape(4, 3) % 5 + 1.0) + 0j
+    FIT = provided(1.0, np.ones(4) / 2.0, np.ones(3) / np.sqrt(3.0), 0.5)
+
+    @pytest.mark.parametrize("call", [
+        lambda X: fit_svd(X, 2),
+        lambda X: fit_svd(X, 2, SolverOptions(alpha=0.5)),
+        lambda X: fit_rank1(X, SolverOptions(alpha=0.5)),
+        lambda X: update_u(X, TestComplexInput.FIT, 0.5),
+        lambda X: update_v(X, TestComplexInput.FIT, 0.5),
+        lambda X: check_equivariance_scale(X, 2.0),
+        lambda X: check_equivariance_permutation(X, [1, 0, 3, 2], [2, 0, 1]),
+    ], ids=["fit_svd", "fit_svd-alpha", "fit_rank1", "update_u", "update_v",
+            "equivariance_scale", "equivariance_permutation"])
+    def test_rejected_at_every_entry_point(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="complex"):
+                call(self.X)
+
+
+class TestLostExtrapolation:
+    def test_failed_extrapolated_cycle_keeps_descent(self, monkeypatch):
+        """When the cycle of an extrapolated state raises
+        FloatingPointError, _solve drops that state, rebuilds the held
+        state's weights and goes on: the fit still converges with a
+        non-increasing trace."""
+        X = (make_ground_truth().X0
+             + sample_noise("S2c", np.random.default_rng([3, 0]))[0])
+        one_cycle = rank1._one_cycle
+        returned, raised = [], []
+
+        def cycle(X, alpha, st, ortho_u, ortho_v, eps):
+            # a state no cycle returned is the start or an extrapolation
+            if returned and not any(st is r for r in returned):
+                raised.append(st)
+                raise FloatingPointError("injected")
+            returned.append(one_cycle(X, alpha, st, ortho_u, ortho_v, eps))
+            return returned[-1]
+
+        monkeypatch.setattr(rank1, "_one_cycle", cycle)
+        out = rank1._solve(X, SolverOptions(alpha=0.5))
+        assert len(raised) > 1
+        assert not out["restarted"]
+        assert out["conv"]
+        assert np.all(np.diff(out["trace"]) <= 1e-10)
+
+
+class TestProjectUnit:
+    def test_direction_in_the_span_raises(self):
+        Q = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 2)))[0]
+        with pytest.raises(FloatingPointError, match="degenerate u direction"):
+            rank1._project_unit(Q @ np.array([1.0, -2.0]), Q, "u")
 
 
 class TestRobustScale:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,24 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="alpha must be in"):
             SimConfig("S1", alphas=(0.5, 9))
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SimConfig("S1", seed=-1)
+        assert SimConfig("S1", seed=0).seed == 0
+
+    def test_fits_take_the_solver_defaults(self, monkeypatch):
+        """Every fit of a run is SolverOptions(alpha=alpha) for its row."""
+        seen = []
+
+        def recorded(X, rank, opts):
+            seen.append(opts)
+            return fit_svd(X, rank, opts)
+
+        monkeypatch.setattr(sim, "fit_svd", recorded)
+        run_simulation(SimConfig("S1", replicates=2, alphas=(0.5, 1.0)))
+        assert seen == [SolverOptions(alpha=a)
+                        for _ in range(2) for a in (0.0, 0.5, 1.0)]
+
 
 class TestReduce:
     def _sample(self, lams, nonconverged=0):
@@ -227,6 +246,42 @@ class TestReduce:
 
 
 class TestRunSimulation:
+    def test_failed_fits_are_counted_and_left_out(self, monkeypatch):
+        """A fit that raises FloatingPointError or returns a non-finite
+        lambda counts as a failure of its row, and its replicate is left
+        out of that row's averages."""
+        cfg = SimConfig("S2c", replicates=3, alphas=(0.5,), seed=4)
+        truth = make_ground_truth()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            clean = [_replicate(r, truth, cfg, [0.0, 0.5]) for r in range(3)]
+        calls = []
+
+        def flaky(X, rank, opts):
+            # fits run replicate by replicate, alpha 0 first
+            calls.append(opts.alpha)
+            if len(calls) == 4:         # replicate 1 at alpha 0.5
+                raise FloatingPointError("injected")
+            dec = fit_svd(X, rank, opts)
+            if len(calls) == 5:         # replicate 2 at alpha 0
+                dec.lambdas[1] = np.nan
+            return dec
+
+        monkeypatch.setattr(sim, "fit_svd", flaky)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            svd, robust = run_simulation(cfg).rows
+        lambdas = np.array([10.0, 5.0, 3.0, 0.0])
+        want_svd = _reduce(clean[:2], 0.0, "svd", lambdas)
+        want_robust = _reduce(clean[::2], 0.5, "rsvddpd", lambdas)
+        assert (svd.failures, robust.failures) == (1, 1)
+        for got, want in ((svd, want_svd), (robust, want_robust)):
+            assert got.nonconverged == want.nonconverged
+            for name in ("sq_bias", "mse", "variance", "diss_left",
+                         "diss_right"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name))
+
     def test_noise_free_replicates_recover_exactly(self, monkeypatch):
         # the least squares path reproduces the noise-free truth; positive
         # alpha stops short of the full singular values on noise-free data
