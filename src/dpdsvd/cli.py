@@ -7,7 +7,8 @@ one-line message on standard error. The environment variable RSVD_SEED
 supplies a fallback seed when --seed is not given; an RSVD_SEED that is
 not an integer exits 2, and so does a negative seed from either. A flag
 left unset takes the library's default: the SolverOptions class
-attributes for decompose, the SimConfig ones for simulate.
+attributes for decompose, the SimConfig ones for simulate and
+run_timing_bench's reps for bench.
 """
 import argparse
 import json
@@ -143,8 +144,9 @@ def cmd_simulate(args):
 
 
 def cmd_bench(args):
-    result = run_timing_bench(args.rows, args.cols, args.alphas,
-                              reps=args.reps)
+    # an unset --reps takes run_timing_bench's own default
+    reps = {} if args.reps is None else {"reps": args.reps}
+    result = run_timing_bench(args.rows, args.cols, args.alphas, **reps)
     sys.stdout.write(bench_to_csv(result))
     return 0
 
@@ -193,7 +195,8 @@ def build_parser():
     ben.add_argument("--rows", type=_int_list, default=(50, 250, 1000))
     ben.add_argument("--cols", type=_positive_int, default=25)
     ben.add_argument("--alphas", type=_float_list, default=(0.1, 1.0))
-    ben.add_argument("--reps", type=_positive_int, default=3)
+    ben.add_argument("--reps", type=_positive_int, default=None,
+                     help="fits per cell (default: run_timing_bench's)")
     ben.set_defaults(func=cmd_bench)
     return parser
 

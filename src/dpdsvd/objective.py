@@ -32,10 +32,19 @@ def psi(x, alpha):
 
 
 def weights(e, sigma2, alpha):
-    """psi evaluated at e / sigma, written to avoid the square root."""
+    """psi evaluated at e / sigma, written to avoid the square root.
+
+    The pass builds one output array, exp(-alpha e e / (2 sigma2)) by the
+    same operations in the same order, each in place after the first; a
+    0-d e gives a NumPy scalar, as the expression would. sigma2 may not
+    broadcast to a larger shape than e's (v_cell widens e first).
+    """
     if alpha == 0.0:
         return np.ones_like(e)
-    return np.exp(-alpha * e * e / (2.0 * sigma2))
+    w = np.multiply(e, -alpha)
+    w *= e
+    w /= 2.0 * sigma2
+    return np.exp(w, out=w) if w.ndim else np.exp(w)
 
 
 def _check_sigma2(sigma2):
@@ -48,14 +57,29 @@ def _check_sigma2(sigma2):
 
 def _cells(e, sigma2, alpha, W=None):
     """Per-cell divergence at residuals e; W, if given, holds
-    weights(e, sigma2, alpha) already computed (alpha > 0 only)."""
+    weights(e, sigma2, alpha) already computed (alpha > 0 only).
+
+    At alpha > 0 the cells are sigma2^(-alpha/2) (c1 - c2 W), at alpha 0
+    e e / (2 sigma2) + log(sigma2) / 2, bit for bit, built in one output
+    array: the weights pass's own when W is not given, else a new one,
+    as W is the caller's. c1 - c2 W is formed as (-c2) W + c1, which
+    rounds alike, since a sign flip is exact.
+    """
     if alpha == 0.0:
-        return e * e / (2.0 * sigma2) + 0.5 * np.log(sigma2)
+        c = np.multiply(e, e)
+        c /= 2.0 * sigma2
+        c += 0.5 * np.log(sigma2)
+        return c
     c1 = (1.0 + alpha) ** -0.5
     c2 = 1.0 + 1.0 / alpha
     if W is None:
-        W = weights(e, sigma2, alpha)
-    return sigma2 ** (-alpha / 2.0) * (c1 - c2 * W)
+        c = weights(e, sigma2, alpha)
+        c *= -c2
+    else:
+        c = np.multiply(W, -c2)
+    c += c1
+    c *= sigma2 ** (-alpha / 2.0)
+    return c
 
 
 def v_cell(x, a, b, sigma2, alpha):
@@ -70,6 +94,8 @@ def v_cell(x, a, b, sigma2, alpha):
     sigma2 = _check_sigma2(sigma2)
     x = np.asarray(x, dtype=float)
     e = x - np.asarray(a, dtype=float) * np.asarray(b, dtype=float)
+    # the cell passes write into an array of e's shape (weights)
+    e = np.broadcast_to(e, np.broadcast_shapes(np.shape(e), sigma2.shape))
     out = _cells(e, sigma2, al)
     return out if out.ndim else float(out)
 

@@ -165,13 +165,22 @@ def _mad(x):
     of the two middle values at an even size, so the value is
     np.median's bit for bit; np.median's NaN check, which imports
     numpy.ma on its first call (NumPy 2), is skipped, as x is finite.
+    The copy |x| is the only array made: it is partitioned in place.
     """
     a = np.abs(x).ravel()
     m = a.size // 2
     if a.size % 2:
-        return 1.4826 * float(np.partition(a, m)[m])
-    lo, hi = np.partition(a, (m - 1, m))[m - 1:m + 1]
-    return 1.4826 * float((lo + hi) / 2.0)
+        a.partition(m)
+        return 1.4826 * float(a[m])
+    a.partition((m - 1, m))
+    return 1.4826 * float((a[m - 1] + a[m]) / 2.0)
+
+
+def _fit_residuals(X, lam, u, v):
+    """X - lam * np.outer(u, v), bit for bit, built in one array."""
+    e = u[:, None] * v
+    e *= lam
+    return np.subtract(X, e, out=e)
 
 
 def _init(X, init, eps, seed=None, ortho_u=None, ortho_v=None):
@@ -222,8 +231,11 @@ def _init(X, init, eps, seed=None, ortho_u=None, ortho_v=None):
         u = u / np.linalg.norm(u)
         v = v / np.linalg.norm(v)
     u, v, d = _orient(u, v, M)
+    # an unprojected, unflipped u is a column of the SVD's n x p factor,
+    # which its view would keep alive through the first cycles
+    u = np.ascontiguousarray(u)
     lam = d if d > 0 else np.sqrt(eps)
-    return lam, u, v, max(_mad(X - lam * np.outer(u, v)) ** 2, eps)
+    return lam, u, v, max(_mad(_fit_residuals(X, lam, u, v)) ** 2, eps)
 
 
 def _sigma_solve(e, s2, alpha, lo, W=None):
@@ -242,6 +254,10 @@ def _sigma_solve(e, s2, alpha, lo, W=None):
     falls below lo. When den is not positive at s2, T(s2) has no positive
     value: s2 is returned with degenerate True. A Newton iterate that
     lands there is replaced by the plain step T from its predecessor.
+
+    Besides e and a given W, at most three arrays the size of e are alive:
+    e^2, e^2 w and e^2 / s. An iterate's weights are dropped once e^2 w
+    is formed, and the term of C is formed in e^2 w's buffer.
     """
     c_sig = alpha * (1.0 + alpha) ** -1.5
     e2 = e * e
@@ -257,6 +273,7 @@ def _sigma_solve(e, s2, alpha, lo, W=None):
             s2, plain, W = plain, None, None
             continue
         e2w = e2 * W
+        W = None
         B = _mean(e2w)
         T = B / den
         if T < lo:
@@ -267,13 +284,14 @@ def _sigma_solve(e, s2, alpha, lo, W=None):
         r_prev = r
         # T'(s) from b = B / s and c = C / s^2, which stay finite at any scale
         b = B / s2
-        c = _mean(e2w * (e2 / s2)) / s2
+        e2w *= e2 / s2
+        c = _mean(e2w) / s2
+        e2w = None
         d = alpha * (c * den - b * b) / (2.0 * den * den)
         if math.isfinite(d) and d < 1.0:
             s2, plain = max(s2 + (T - s2) / (1.0 - d), lo), T
         else:
             s2, plain = T, None
-        W = None
     return s2, False
 
 
@@ -338,9 +356,11 @@ def _target(X, W, cur, other, s2, alpha, ortho, what):
 def _residuals(X, cand, other, left):
     """X minus the rank-one fit of a row (left) or column candidate and
     other; a stack of k candidates, shape (k, n) or (k, p), gives a
-    (k, n, p) stack of residual matrices."""
-    return X - (cand[..., None] * other if left
-                else other[:, None] * cand[..., None, :])
+    (k, n, p) stack of residual matrices. The outer product's array is
+    the output: the subtraction is made in place."""
+    R = (cand[..., None] * other if left
+         else other[:, None] * cand[..., None, :])
+    return np.subtract(X, R, out=R)
 
 
 def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
@@ -371,8 +391,10 @@ def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
     more than BATCH_CELLS / 4 cells one, as a loop would. A stack of
     k > 1 stays below BATCH_CELLS cells (128 KiB).
 
-    Returns (length, unit direction, h, residuals, weights) at the point
-    reached. Raises RankCollapse at length 0.
+    Returns (length, unit direction, h, residuals, weights, vector) at
+    the point reached, vector being that point unnormalized: the
+    residuals are _residuals(X, vector, other, left) bit for bit, when
+    the step moved. Raises RankCollapse at length 0.
     """
     if left:
         target, gain = _target(X, W, cur, other, s2, alpha, ortho, "row")
@@ -406,29 +428,35 @@ def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
     lam = math.sqrt(cur.dot(cur))
     if lam <= 0:
         raise RankCollapse("rank collapse")
-    return lam, cur / lam, h, e, W
+    return lam, cur / lam, h, e, W, cur
 
 
 def _one_cycle(X, alpha, st, ortho_u, ortho_v, eps):
     """Row half-step, column half-step, then the scale update, kept only
-    if it does not raise h. st is the iterate [lam, u, v, s2, h, e, W],
-    with W = weights(e, s2, alpha); the cycle empties it, so its e and W
-    are freed once the row half-step has replaced them. The iterate
-    returned is a new list of the same form: the half-steps hand back the
-    weights of the point they reach, and the scale update's weights are
-    kept with its sigma2."""
-    lam, u, v, s2, h, e, W = st
+    if it does not raise h. st is the iterate [lam, u, v, s2, h, e, W,
+    src], with W = weights(e, s2, alpha) and e = src[0](X, *src[1:]), the
+    call that formed e (_solve); the cycle empties it, so its e and W are
+    freed once the row half-step has replaced them. The iterate returned
+    is a new list of the same form: the half-steps hand back the weights
+    of the point they reach, and the scale update's weights are kept with
+    its sigma2. A half-step that moved (lowered h) formed e, so src
+    becomes its _residuals call."""
+    lam, u, v, s2, h, e, W, src = st
     st.clear()
-    lam, u, h, e, W = _half_step(X, W, e, h, lam * u, v, s2, alpha, True,
-                                 ortho_u)
-    lam, v, h, e, W = _half_step(X, W, e, h, lam * v, u, s2, alpha, False,
-                                 ortho_v)
+    lam, u, h_u, e, W, a = _half_step(X, W, e, h, lam * u, v, s2, alpha,
+                                      True, ortho_u)
+    if h_u < h:
+        src = (_residuals, a, v, True)
+    lam, v, h, e, W, b = _half_step(X, W, e, h_u, lam * v, u, s2, alpha,
+                                    False, ortho_v)
+    if h < h_u:
+        src = (_residuals, b, u, False)
     s2_c = _sigma_solve(e, s2, alpha, max(eps, SIG_CAP * s2), W)[0]
     W_c = weights(e, s2_c, alpha)
     h_c = h_value(e, s2_c, alpha, W_c)
     if h_c <= h:
         s2, h, W = s2_c, h_c, W_c
-    return [lam, u, v, s2, h, e, W]
+    return [lam, u, v, s2, h, e, W, src]
 
 
 def _polish_terms(X, a, b, t, alpha):
@@ -546,8 +574,10 @@ def _newton_polish(X, lam, u, v, s2, alpha, eps):
     (in _polish_terms; the last step's M is freed before the next is
     built), plus the two n x (p+2) blocks of the bordered solve. Measured
     peak: 5.12 times X.nbytes on a 400x100 matrix, 5.05 on a 2000x200 one.
-    That is not the fit's peak, which lies in _solve's iteration, at
-    7-8 times X.nbytes on a 2000x200 matrix (README, tools/fit_memory.py).
+    Inside a rank-1 fit the polish is the fit's peak, at 5.09 times
+    X.nbytes on the benchmark's 2000x200 draw; a deflated layer is not
+    polished, and the peak of a rank-3 fit, 6.14, lies in _solve's
+    iteration (README, tools/fit_memory.py).
     """
     n, p = X.shape
     a = lam * u
@@ -655,16 +685,25 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, budget=None):
     layer 3's lambda to -1.85% of planted (outside the 1% check) and
     slowed the fit from 10.6 s to 14.7 s.
 
-    The iterate is one list [lam, u, v, s2, h, e, W]: the state, h
-    there, the residuals and weights(e, s2, alpha). Each array is held
+    The iterate is one list [lam, u, v, s2, h, e, W, src]: the state, h
+    there, the residuals, weights(e, s2, alpha) and how e was formed, as
+    a call src[0](X, *src[1:]): _fit_residuals of the start's (lam, u,
+    v), or _residuals of the unnormalized vector of the last half-step
+    that moved, with its other factor (_one_cycle). Each array is held
     only while a next step needs it. The previous state and the middle
     state of an extrapolation are cut to (lam, u, v, s2, h) before their
-    cycle runs, and the cycle empties the list it is given (_one_cycle),
-    so a state's e and W are freed once its row half-step has replaced
-    them. While an extrapolated state is cycled, the current state keeps
-    its e but not its W; if the extrapolation loses, W is rebuilt as
-    weights(e, s2, alpha), which is the W it carried, bit for bit. That
-    costs one weights pass per lost extrapolation.
+    cycle runs, and the cycle empties the list it is given, so a state's
+    e and W are freed once its row half-step has replaced them. While an
+    extrapolated state is cycled, the current state gives up its e and
+    W; if the extrapolation loses, e is formed again by src and W as
+    weights(e, s2, alpha), which are the arrays it carried, bit for bit.
+    That costs one residual pass and one weights pass per lost
+    extrapolation. With the cell passes in place (objective.weights and
+    _cells, _residuals), it took the peak of this iteration on the
+    benchmark's 2000x200 draw from 7.07 to 5.07 times X.nbytes, below
+    the polish's 5.09, and that of a rank-3 fit, reached in a deflated
+    layer's stabilization cycle with the running residual alive, from
+    8.10 to 6.14 (tools/fit_memory.py).
     """
     alpha = opts.alpha
     tol = opts.tol
@@ -675,9 +714,10 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, budget=None):
     scale = np.sqrt(max(ms, 1e-300))
 
     def start(lam, u, v, s2):
-        e = X - lam * (u[:, None] * v)
+        e = _fit_residuals(X, lam, u, v)
         W = weights(e, s2, alpha)
-        return [lam, u, v, s2, h_value(e, s2, alpha, W), e, W]
+        return [lam, u, v, s2, h_value(e, s2, alpha, W), e, W,
+                (_fit_residuals, lam, u, v)]
 
     def cycle(st):
         return _one_cycle(X, alpha, st, ortho_u, ortho_v, eps)
@@ -723,7 +763,7 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, budget=None):
                 sq = -math.sqrt(r.dot(r)) / nw
                 acc = unpack(th0 - 2.0 * sq * r + sq * sq * w)
                 if acc is not None and math.isfinite(acc[4]):
-                    st[6] = None    # rebuilt below if acc loses
+                    st[5] = st[6] = None    # rebuilt below if acc loses
                     try:
                         acc = cycle(acc)
                     except FloatingPointError:
@@ -731,6 +771,8 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, budget=None):
                     if acc is not None and acc[4] < st[4]:
                         st = acc
                     else:
+                        src = st[7]
+                        st[5] = src[0](X, *src[1:])
                         st[6] = weights(st[5], st[3], alpha)
                 acc = None
         lam, u, v, s2, h = st[:5]

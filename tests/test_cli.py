@@ -1,11 +1,12 @@
 """Command line interface: argument handling, outputs, exit codes."""
+import inspect
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from dpdsvd import SimConfig, SolverOptions, cli
+from dpdsvd import SimConfig, SolverOptions, cli, run_timing_bench
 from dpdsvd.cli import main
 from dpdsvd.sim import FULL_REPLICATES, make_ground_truth
 
@@ -317,6 +318,21 @@ class TestBench:
         assert run(["bench", "--rows", "1,8", "--cols", "5",
                     "--alphas", "0.5", "--reps", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, want", [
+        ([], inspect.signature(run_timing_bench).parameters["reps"].default),
+        (["--reps", "2"], 2)])
+    def test_reps_default_is_the_library_default(self, monkeypatch, flags,
+                                                 want):
+        seen = []
+
+        def recorded(*args, **kwargs):
+            seen.append(run_timing_bench(*args, **kwargs).reps)
+            raise ValueError("stop")
+        monkeypatch.setattr(cli, "run_timing_bench", recorded)
+        assert run(["bench", "--rows", "8", "--cols", "5",
+                    "--alphas", "0.5"] + flags) == 2
+        assert seen == [want]
 
 
 class TestParser:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from dpdsvd import ObjectiveValue, Rank1Fit, objective, psi, v_cell
-from dpdsvd.objective import _mean, check_alpha, h_value, weights
+from dpdsvd.objective import _cells, _mean, check_alpha, h_value, weights
 
 
 def brute_force_h(X, lam, u, v, s2, alpha):
@@ -272,3 +272,111 @@ class TestMean:
                 assert got.shape == (k,)
                 assert np.array_equal(got, want)
             assert np.array_equal(_mean(e), [_mean(m) for m in e])
+
+
+def plain_weights(e, sigma2, alpha):
+    """weights as the plain expression that its in-place pass replaced."""
+    return np.exp(-alpha * e * e / (2.0 * sigma2))
+
+
+def plain_cells(e, sigma2, alpha):
+    """_cells as the plain expressions that its in-place passes replaced."""
+    if alpha == 0.0:
+        return e * e / (2.0 * sigma2) + 0.5 * np.log(sigma2)
+    c1 = (1.0 + alpha) ** -0.5
+    c2 = 1.0 + 1.0 / alpha
+    return sigma2 ** (-alpha / 2.0) * (c1 - c2 * plain_weights(e, sigma2,
+                                                               alpha))
+
+
+def same_bits(got, want):
+    """got and want hold the same float64 values, bit for bit (signed
+    zeros too), at the same shape."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype == float
+            and got.tobytes() == want.tobytes())
+
+
+def residual_draw(shape, seed):
+    """Residuals at mixed scales, with zeros of both signs, gross cells
+    and cells whose weights underflow to 0."""
+    rng = np.random.default_rng([14, seed, *shape])
+    e = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    if e.ndim:
+        flat = e.reshape(-1)
+        flat[::5] = 25.0
+        flat[1::7] = 0.0
+        flat[2::7] = -0.0
+        flat[3::11] = -1e150
+    return e
+
+
+class TestInPlacePasses:
+    """weights and _cells build one output array each, in place, and
+    give the plain expressions bit for bit on every input shape."""
+
+    @pytest.mark.parametrize("shape", [(), (7,), (10, 4), (3, 10, 4)],
+                             ids=["0-d", "1-D", "2-D", "stack"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    def test_match_plain_expressions(self, shape, alpha):
+        e = residual_draw(shape, 0)
+        rng = np.random.default_rng([15, *shape])
+        for s2 in (0.7, 3e-5, 4e12, np.asarray(2.5),
+                   rng.uniform(0.1, 10.0, shape)):
+            if alpha > 0.0:
+                W = weights(e, s2, alpha)
+                assert same_bits(W, plain_weights(e, s2, alpha))
+                W_kept = W.copy()
+                assert same_bits(_cells(e, s2, alpha, W),
+                                 plain_cells(e, s2, alpha))
+                assert same_bits(W, W_kept)    # the caller's W is read only
+            assert same_bits(_cells(e, s2, alpha), plain_cells(e, s2, alpha))
+            if e.ndim == 3:
+                want = [_mean(plain_cells(e[i], s2 if np.ndim(s2) < 3
+                                          else s2[i], alpha))
+                        for i in range(e.shape[0])]
+                assert same_bits(h_value(e, s2, alpha), want)
+            elif e.ndim == 2:
+                assert same_bits(h_value(e, s2, alpha),
+                                 _mean(plain_cells(e, s2, alpha)))
+
+    def test_psi_scalar_and_array(self):
+        """psi of a 0-d x is a float; it used to fail when the in-place
+        exp was handed the scalar a 0-d product gives."""
+        for x in (0.0, 1.3, 40.0):
+            got = psi(x, 0.5)
+            assert type(got) is float
+            assert got == float(plain_weights(np.float64(x), 1.0, 0.5))
+        xs = np.linspace(0.0, 6.0, 13)
+        assert same_bits(psi(xs, 0.5), plain_weights(xs, 1.0, 0.5))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    def test_v_cell_with_array_sigma2(self, alpha):
+        """v_cell broadcasts like the plain expression, also when sigma2
+        has more cells than x, a and b."""
+        rng = np.random.default_rng(16)
+        s2 = rng.uniform(0.1, 4.0, (3, 4))
+        x = rng.standard_normal((3, 4))
+        b = rng.standard_normal(4)
+        assert same_bits(v_cell(x, 1.3, b, s2, alpha),
+                         plain_cells(x - 1.3 * b, s2, alpha))
+        assert same_bits(v_cell(2.0, 1.0, 1.5, s2, alpha),
+                         plain_cells(np.float64(0.5), s2, alpha))
+        assert same_bits(v_cell(x, 1.3, b, s2[0], alpha),
+                         plain_cells(x - 1.3 * b, s2[0], alpha))
+        got = v_cell(2.0, 1.0, 1.5, 0.8, alpha)
+        assert type(got) is float
+        assert got == float(plain_cells(np.float64(0.5), 0.8, alpha))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    def test_objective_cells(self, alpha):
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((9, 5))
+        u = rng.standard_normal(9)
+        v = rng.standard_normal(5)
+        u /= np.linalg.norm(u)
+        v /= np.linalg.norm(v)
+        got = objective(X, (1.7, u, v, 0.6), alpha)
+        want = plain_cells(X - 1.7 * np.outer(u, v), np.asarray(0.6), alpha)
+        assert same_bits(got.per_cell, want)
+        assert got.h == float(np.mean(want))

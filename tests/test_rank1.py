@@ -232,10 +232,10 @@ class TestHalfStep:
             return weights(*args)
 
         monkeypatch.setattr(rank1, "weights", counted)
-        lam, u, h_out, e_out, W_out = rank1._half_step(
+        lam, u, h_out, e_out, W_out, reached = rank1._half_step(
             X, W, e, h, cur, other, s2, alpha, True, ortho)
         assert count[0] == 1
-        assert e_out is e and W_out is W
+        assert e_out is e and W_out is W and reached is cur
         assert h_out == h
         np.testing.assert_allclose(lam * u, cur, rtol=0, atol=1e-15)
 
@@ -294,10 +294,14 @@ class TestStackedSearch:
             monkeypatch.setattr(rank1, "weights", weights)
         want, tries = half_step_one_by_one(X, W, e, h, cur, other, s2, alpha,
                                            left, ortho)
-        lam, u, h_out, e_out, W_out = got
+        lam, u, h_out, e_out, W_out, reached = got
         assert lam == want[0] and h_out == want[2]
         for a, b in zip((u, e_out, W_out), (want[1], want[3], want[4])):
             assert np.array_equal(a, b)
+        if h_out < h:
+            # the vector reached forms the residuals again, bit for bit
+            assert np.array_equal(rank1._residuals(X, reached, other, left),
+                                  e_out)
         chunk = max(1, int(math.sqrt(rank1.BATCH_CELLS / X.size)))
         assert passes[0] == 1 + -(-(tries - 1) // chunk)
         if h_out == h:
@@ -616,6 +620,163 @@ class TestPolishTerms:
             tracemalloc.stop()
         assert peak <= 10 * X.nbytes
 
+
+def planted_400x100():
+    """The benchmark's planted rank-3 400x100 matrix, 20% of its cells set
+    to 25: the draw of test_fit_working_set."""
+    n, p = 400, 100
+    rng = np.random.default_rng([0, n, p])
+    U0 = np.linalg.qr(rng.standard_normal((n, 3)))[0]
+    V0 = np.linalg.qr(rng.standard_normal((p, 3)))[0]
+    E = rng.standard_normal((n, p))
+    E[rng.random((n, p)) < 0.2] = 25.0
+    return (U0 * (np.array([8.0, 4.0, 2.0]) * math.sqrt(n * p))) @ V0.T + E
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("rank, bound", [(3, 7), (1, 6)])
+    def test_fit_peak(self, rank, bound):
+        """An alpha-0.5 fit of the 400x100 planted draw allocates at most
+        7 times X.nbytes at its peak at rank 3 and 6 at rank 1. Measured:
+        6.62 and 5.23 with in-place cell passes and a held state that gives
+        up its residuals while an extrapolated state is cycled; 8.23 and
+        7.17 before. A small fit runs first, as in test_fit_working_set."""
+        X = planted_400x100()
+        opts = SolverOptions(alpha=0.5)
+        fit_rank1(X[:10, :4], opts)
+        tracemalloc.start()
+        try:
+            fit_svd(X, rank, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * X.nbytes
+
+
+class TestInPlaceResiduals:
+    """_residuals and _fit_residuals build one array each and give the
+    plain expressions bit for bit."""
+
+    @pytest.mark.parametrize("k", [None, 1, 6])
+    @pytest.mark.parametrize("left", [True, False])
+    def test_residuals(self, k, left):
+        rng = np.random.default_rng([18, k or 0, left])
+        X = rng.standard_normal((10, 4)) * 10.0 ** rng.integers(-6, 6, (10, 4))
+        m, o = (10, 4) if left else (4, 10)
+        cand = rng.standard_normal(m if k is None else (k, m))
+        other = rng.standard_normal(o)
+        got = rank1._residuals(X, cand, other, left)
+        want = X - (cand[..., None] * other if left
+                    else other[:, None] * cand[..., None, :])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_fit_residuals(self):
+        rng = np.random.default_rng(19)
+        X = rng.standard_normal((10, 4))
+        u, v = unit(rng, 10), unit(rng, 4)
+        for lam in (2.7, np.float64(1e-5)):
+            got = rank1._fit_residuals(X, lam, u, v)
+            assert got.tobytes() == (X - lam * np.outer(u, v)).tobytes()
+            assert got.tobytes() == (X - lam * (u[:, None] * v)).tobytes()
+
+
+class TestHeldStateRebuild:
+    """While SQUAREM's extrapolated state is cycled, the held state gives
+    up its residuals and weights. When the extrapolation loses, _solve
+    forms them again from the call recorded with the state; they must
+    equal the arrays it gave up, bit for bit."""
+
+    def watch(self, monkeypatch, fail_extrapolated=False, stay=False):
+        """Wrap _half_step and _one_cycle for the fits that follow; returns
+        the labels of the held states checked.
+
+        Each state a cycle returns is copied (e and W) and labelled by what
+        formed its e: "full" or "halving" when the column half-step moved
+        by its full step or by a halving (more than one weights pass),
+        "unmoved" when the column half-step did not move but the row
+        half-step did, and the label of the state the cycle was given
+        when neither moved; a start is "start". A cycle given a state
+        that is not the last one returned, while that one holds no e, is
+        an extrapolated state's; the next cycle given the held state
+        compares its e and W with the copies. fail_extrapolated makes an
+        extrapolated state's cycle raise FloatingPointError, and stay
+        makes every half-step return what a half-step that finds no
+        decrease returns.
+        """
+        half_step, one_cycle, weights_ = (rank1._half_step, rank1._one_cycle,
+                                          rank1.weights)
+        passes, moves = [0], []
+        last, held, checked = [None], [None], []
+
+        def counted(*args):
+            passes[0] += 1
+            return weights_(*args)
+
+        def half(X, W, e, h, cur, other, s2, alpha, left, ortho):
+            if stay:
+                moves.append(None)
+                lam = math.sqrt(cur.dot(cur))
+                return lam, cur / lam, h, e, W, cur
+            passes[0] = 0
+            out = half_step(X, W, e, h, cur, other, s2, alpha, left, ortho)
+            moves.append(None if not out[2] < h
+                         else "full" if passes[0] == 1 else "halving")
+            return out
+
+        def cycle(X, alpha, st, ortho_u, ortho_v, eps):
+            if held[0] is not None and st is held[0][0]:
+                _, e, W, label = held[0]
+                assert st[5].tobytes() == e.tobytes()
+                assert st[6].tobytes() == W.tobytes()
+                checked.append(label)
+            held[0] = None
+            given = "start"
+            if last[0] is not None:
+                if st is last[0][0]:
+                    given = last[0][3]
+                elif last[0][0][5] is None:
+                    assert last[0][0][6] is None
+                    held[0] = last[0]
+                    if fail_extrapolated:
+                        raise FloatingPointError("injected")
+            moves.clear()
+            out = one_cycle(X, alpha, st, ortho_u, ortho_v, eps)
+            row, col = moves
+            label = col or ("unmoved" if row else given)
+            last[0] = (out, out[5].copy(), out[6].copy(), label)
+            return out
+
+        monkeypatch.setattr(rank1, "weights", counted)
+        monkeypatch.setattr(rank1, "_half_step", half)
+        monkeypatch.setattr(rank1, "_one_cycle", cycle)
+        return checked
+
+    def test_states_from_half_steps(self, monkeypatch):
+        """Rank-4 fits of an S2c study replicate lose extrapolations held at
+        states whose e a full step, a halving stack, or the row half-step
+        before a column half-step that did not move had formed."""
+        checked = self.watch(monkeypatch)
+        X = (make_ground_truth().X0
+             + sample_noise("S2c", np.random.default_rng([1, 0]))[0])
+        for alpha in (0.5, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                fit_svd(X, 4, SolverOptions(alpha=alpha))
+        assert {"full", "halving", "unmoved"} <= set(checked)
+
+    def test_state_from_the_start(self, monkeypatch):
+        """A held state whose e the start formed: no half-step moves, so
+        e stays the start's, extrapolation begins at the first iteration
+        and its cycle fails."""
+        checked = self.watch(monkeypatch, fail_extrapolated=True, stay=True)
+        monkeypatch.setattr(rank1, "PLAIN_FIRST", 0)
+        X = (make_ground_truth().X0
+             + sample_noise("S2c", np.random.default_rng([1, 0]))[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rank1._solve(X, SolverOptions(alpha=0.5, max_iter=3))
+        assert checked and set(checked) == {"start"}
 
 def scale_map(e, s, alpha):
     """(T(s), den(s)) of the scale equation s = T(s), computed directly."""

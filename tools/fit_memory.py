@@ -15,8 +15,16 @@ polish (_newton_polish). A phase's peak includes what is alive when it
 is entered, such as the running residual of a deflated layer and the
 iterate's residuals and weights. "other" is the rest of the fit: the
 iterate's own passes in _solve, the deflation and the layer loop.
+
+The last two columns are read from getrusage around an untraced repeat of
+the same fit: its minor page faults (ru_minflt) and its system CPU time
+in seconds. A fit that allocates no more than the allocator keeps from
+the fit before it takes almost no faults; each further array the size
+of X that is alive at the peak can bring back a page fault per page it
+touches, and the system time that goes with them.
 """
 import functools
+import resource
 import sys
 import tracemalloc
 import warnings
@@ -70,19 +78,30 @@ def traced_fit(X, rank):
     return max(peaks.values()), peaks
 
 
+def untraced_fit(X, rank):
+    """Minor page faults and system CPU seconds of one untraced fit."""
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    fit_svd(X, rank, SolverOptions(alpha=ALPHA))
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime
+
+
 def main():
     # a layer stopped at max_iter warns; its peak is measured all the same
     warnings.simplefilter("ignore", RuntimeWarning)
     fit_svd(workloads.planted(0, (10, 4))[0], 1, SolverOptions(alpha=ALPHA))
     names = ("fit",) + tuple(p.lstrip("_") for p in PHASES) + ("other",)
     print("peak / X.nbytes at alpha", ALPHA)
-    print(f"{'shape':<10}{'rank':>5}" + "".join(f"{n:>15}" for n in names))
+    print(f"{'shape':<10}{'rank':>5}" + "".join(f"{n:>15}" for n in names)
+          + f"{'minflt':>10}{'sys_s':>8}")
     for shape, rank in FITS:
         X = workloads.planted(0, shape)[0]
         peak, peaks = traced_fit(X, rank)
+        faults, sys_s = untraced_fit(X, rank)
         row = [peak] + [peaks[p] for p in PHASES + ("other",)]
         print(f"{f'{shape[0]}x{shape[1]}':<10}{rank:>5}"
-              + "".join(f"{b / X.nbytes:>15.3f}" for b in row), flush=True)
+              + "".join(f"{b / X.nbytes:>15.3f}" for b in row)
+              + f"{faults:>10}{sys_s:>8.3f}", flush=True)
 
 
 if __name__ == "__main__":
