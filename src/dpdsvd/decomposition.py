@@ -34,8 +34,9 @@ import numpy as np
 
 from .errors import RankCollapse, RankTooLarge
 from .objective import _fit_state, h_value
-from .rank1 import (Rank1Fit, SolverOptions, _check_input, _flip_sign,
-                    _init, _solve, sigma_floor)
+from . import rank1
+from .rank1 import (Rank1Fit, SolverOptions, _check_input, _fit_residuals,
+                    _flip_sign, _init, _solve, sigma_floor)
 
 
 @dataclass
@@ -80,18 +81,26 @@ def _classical_layers(E, eps_sigma):
 def _deflation_layers(E, opts):
     """Yield the _solve result of each successive layer at alpha > 0.
 
-    E is the running residual: X itself for the first layer, which is
-    never written to. A provided start (a Rank1Fit or 4-tuple init)
-    serves layer 0 only (rank1._solve holds that rule).
+    E is the running residual, E - lam outer(u, v) after each layer,
+    formed a block of rows at a time (rank1._fit_residuals, the same
+    operations): X itself for the first layer, which is never written
+    to, then one array of its own, updated in place. A provided start (a
+    Rank1Fit or 4-tuple init) serves layer 0 only (rank1._solve holds
+    that rule).
     """
     done = []
-    for _ in range(min(E.shape)):
+    for k in range(min(E.shape)):
         ortho_u = np.column_stack([f["u"] for f in done]) if done else None
         ortho_v = np.column_stack([f["v"] for f in done]) if done else None
         f = _solve(E, opts, ortho_u, ortho_v)
         yield f
         done.append(f)
-        E = E - f["lam"] * np.outer(f["u"], f["v"])
+        step = max(1, rank1.BLOCK_CELLS // E.shape[1])
+        out = np.empty_like(E) if k == 0 else E
+        for i in range(0, E.shape[0], step):
+            rows = slice(i, i + step)
+            _fit_residuals(E, f["lam"], f["u"], f["v"], rows, out[rows])
+        E = out
 
 
 def _layers(X, opts):

@@ -31,17 +31,18 @@ def psi(x, alpha):
     return out if out.ndim else float(out)
 
 
-def weights(e, sigma2, alpha):
+def weights(e, sigma2, alpha, out=None):
     """psi evaluated at e / sigma, written to avoid the square root.
 
     The pass builds one output array, exp(-alpha e e / (2 sigma2)) by the
     same operations in the same order, each in place after the first; a
     0-d e gives a NumPy scalar, as the expression would. sigma2 may not
-    broadcast to a larger shape than e's (v_cell widens e first).
+    broadcast to a larger shape than e's (v_cell widens e first). out, if
+    given, is the output array (alpha > 0 only).
     """
     if alpha == 0.0:
         return np.ones_like(e)
-    w = np.multiply(e, -alpha)
+    w = np.multiply(e, -alpha, out=out)
     w *= e
     w /= 2.0 * sigma2
     return np.exp(w, out=w) if w.ndim else np.exp(w)
@@ -111,16 +112,37 @@ def _mean(x):
     return np.add.reduce(x, axis=(-2, -1)) / (x.shape[-2] * x.shape[-1])
 
 
+def _tree_sum(n, node, cap, start=0):
+    """np.add.reduce of n contiguous float cells, bit for bit, from the
+    sums of the nodes of NumPy's summation tree that hold at most cap
+    cells: node(a, b) returns np.add.reduce of cells a to b.
+
+    NumPy sums more than 128 cells as the sum of two halves, the first
+    rounded down to a multiple of 8 cells, and fewer in one unrolled
+    loop, so a node of at most cap cells, or of at most 128, is summed
+    whole and the nodes' sums are added in the tree's order. node may
+    return an array of such sums, one per cell array; they add alike.
+    """
+    if n <= cap or n <= 128:
+        return node(start, start + n)
+    half = n // 2 - n // 2 % 8
+    return (_tree_sum(half, node, cap, start)
+            + _tree_sum(n - half, node, cap, start + half))
+
+
 def h_value(e, sigma2, alpha, W=None):
     """Objective h: the mean of the per-cell divergence (_cells) over the
     residual array e, at every alpha.
 
     W, if given, holds weights(e, sigma2, alpha) already computed. A
     stack e of shape (k, n, p) gives an array of k values, the h of each
-    e[i] bit for bit; a matrix gives a float.
+    e[i] bit for bit; a matrix gives a float. A matrix's mean is _mean's,
+    taken here without the call, as h_value is called once per point.
     """
-    h = _mean(_cells(e, sigma2, alpha, W))
-    return float(h) if e.ndim < 3 else h
+    c = _cells(e, sigma2, alpha, W)
+    if e.ndim < 3:
+        return float(np.add.reduce(c, axis=None) / c.size)
+    return _mean(c)
 
 
 def _fit_state(fit):

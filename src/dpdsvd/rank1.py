@@ -19,7 +19,9 @@ of raising. After a warm-up the iteration is accelerated by squared
 extrapolation of the fixed-point map (SQUAREM), and every accelerated
 state is re-checked against h. The iterate carries the residuals e and
 the weights W of its point, so a cycle makes no weights pass of its own
-at the top.
+at the top. On an X of more than BLOCK_CELLS cells each point is
+evaluated in one sweep of row blocks (_evaluate), and each scale solve
+sweeps its iterates alike, with the bits of the whole-array passes.
 
 A deflated layer constrains u and v orthogonal to the earlier layers'
 vectors. Three things are projected onto that constraint: the start,
@@ -48,7 +50,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateWeights, NonFiniteInput, RankCollapse
-from .objective import _fit_state, _mean, check_alpha, h_value, weights
+from .objective import (_cells, _fit_state, _tree_sum, check_alpha, h_value,
+                        weights)
 
 PLAIN_FIRST = 10       # plain cycles before extrapolation kicks in
 SIG_CAP = 0.5          # sigma^2 may shrink at most 2x per outer iteration
@@ -57,6 +60,7 @@ SCREEN_K = 2.0         # init screening threshold in robust sd units
 STALL_RTOL = 4e-16     # halve only while the predicted drop of h > this * |h|
 HALVINGS = 0.5 ** np.arange(40.0)   # the step lengths a half-step may try
 BATCH_CELLS = 1 << 14  # sizes a half-step's stacks of halvings (_half_step)
+BLOCK_CELLS = 1 << 16  # sizes the blocks of a sweep over X's cells (_evaluate)
 INIT_POLICIES = ("screened", "classical", "random")
 
 
@@ -176,11 +180,13 @@ def _mad(x):
     return 1.4826 * float((a[m - 1] + a[m]) / 2.0)
 
 
-def _fit_residuals(X, lam, u, v):
-    """X - lam * np.outer(u, v), bit for bit, built in one array."""
-    e = u[:, None] * v
+def _fit_residuals(X, lam, u, v, rows=slice(None), out=None):
+    """X - lam * np.outer(u, v), bit for bit, built in one array: the
+    rows `rows` of it, written into out if given (out may be X[rows]
+    itself, as the outer product has an array of its own)."""
+    e = u[rows, None] * v
     e *= lam
-    return np.subtract(X, e, out=e)
+    return np.subtract(X[rows], e, out=e if out is None else out)
 
 
 def _init(X, init, eps, seed=None, ortho_u=None, ortho_v=None):
@@ -255,26 +261,60 @@ def _sigma_solve(e, s2, alpha, lo, W=None):
     value: s2 is returned with degenerate True. A Newton iterate that
     lands there is replaced by the plain step T from its predecessor.
 
-    Besides e and a given W, at most three arrays the size of e are alive:
-    e^2, e^2 w and e^2 / s. An iterate's weights are dropped once e^2 w
-    is formed, and the term of C is formed in e^2 w's buffer.
+    The means are over all the cells of e, of any shape. Besides e and a
+    given W, at most three arrays the size of e are alive: e^2,
+    e^2 w and e^2 / s. An iterate's weights are dropped once e^2 w is
+    formed, and the term of C is formed in e^2 w's buffer. An e of more
+    than BLOCK_CELLS cells is swept in blocks instead, its sums taken by
+    NumPy's summation tree (objective._tree_sum): only e^2 and e^2 w
+    are full arrays, e^2 w kept because C is needed only when the
+    iterate goes on, and an iterate's weights and the term of C exist
+    one block at a time. The scalar steps run on Python floats, which
+    round as NumPy's float64 scalars do at a fraction of their cost per
+    operation. A division by 0 raises there, so a den whose square
+    underflows to 0 gives a NaN slope, which takes the plain step as
+    float64's inf or NaN quotient would.
     """
     c_sig = alpha * (1.0 + alpha) ** -1.5
+    N = e.size
+    blocked = N > BLOCK_CELLS
+    if blocked:
+        # the cells in memory order, the order in which np.add.reduce
+        # sums them
+        e = e.ravel(order="K")
+        W = None if W is None else W.ravel(order="K")
+        e2w = np.empty_like(e)
+
+        def sums(a, b):
+            # the sums of w and of e^2 w over cells a to b
+            w = weights(e[a:b], s2, alpha) if W is None else W[a:b]
+            np.multiply(e2[a:b], w, out=e2w[a:b])
+            return np.array((np.add.reduce(w), np.add.reduce(e2w[a:b])))
+
+        def c_sum(a, b):
+            c = e2[a:b] / s2
+            c *= e2w[a:b]
+            return np.add.reduce(c)
     e2 = e * e
     plain = None            # T at the predecessor of a Newton iterate
     r_prev = np.inf
     for _ in range(200):
-        if W is None:
-            W = weights(e, s2, alpha)
-        den = _mean(W) - c_sig
+        if blocked:
+            mean_w, B = (_tree_sum(N, sums, BLOCK_CELLS) / N).tolist()
+            den = mean_w - c_sig
+        else:
+            if W is None:
+                W = weights(e, s2, alpha)
+            den = float(np.add.reduce(W, axis=None)) / N - c_sig
         if den <= 0:
             if plain is None:
                 return s2, True
             s2, plain, W = plain, None, None
             continue
-        e2w = e2 * W
+        if not blocked:
+            e2w = e2 * W
+            B = float(np.add.reduce(e2w, axis=None)) / N
         W = None
-        B = _mean(e2w)
         T = B / den
         if T < lo:
             return lo, False
@@ -284,10 +324,14 @@ def _sigma_solve(e, s2, alpha, lo, W=None):
         r_prev = r
         # T'(s) from b = B / s and c = C / s^2, which stay finite at any scale
         b = B / s2
-        e2w *= e2 / s2
-        c = _mean(e2w) / s2
-        e2w = None
-        d = alpha * (c * den - b * b) / (2.0 * den * den)
+        if blocked:
+            c = float(_tree_sum(N, c_sum, BLOCK_CELLS)) / N / s2
+        else:
+            e2w *= e2 / s2
+            c = float(np.add.reduce(e2w, axis=None)) / N / s2
+            e2w = None
+        dd = 2.0 * den * den  # 0 if den^2 underflows: no finite slope
+        d = alpha * (c * den - b * b) / dd if dd else math.nan
         if math.isfinite(d) and d < 1.0:
             s2, plain = max(s2 + (T - s2) / (1.0 - d), lo), T
         else:
@@ -303,7 +347,8 @@ def _regress(X, W, w, what):
     denominators.
     """
     den = W @ (w * w)
-    if (den <= 1e-300).any():
+    # (den <= 1e-300).any(), without the method's Python wrapper
+    if np.logical_or.reduce(den <= 1e-300):
         raise DegenerateWeights(f"all {what} weights collapsed")
     return ((X * W) @ w) / den, den
 
@@ -353,14 +398,72 @@ def _target(X, W, cur, other, s2, alpha, ortho, what):
     return target, k * float((den * (raw - cur)) @ (target - cur))
 
 
-def _residuals(X, cand, other, left):
+def _residuals(X, cand, other, left, rows=None, out=None):
     """X minus the rank-one fit of a row (left) or column candidate and
     other; a stack of k candidates, shape (k, n) or (k, p), gives a
     (k, n, p) stack of residual matrices. The outer product's array is
-    the output: the subtraction is made in place."""
+    the output: the subtraction is made in place. Given rows, only those
+    rows of a matrix are formed, into out, which must not overlap X."""
+    if rows is not None:
+        R = (np.multiply(cand[rows, None], other, out=out) if left
+             else np.multiply(other[rows, None], cand, out=out))
+        return np.subtract(X[rows], R, out=R)
     R = (cand[..., None] * other if left
          else other[:, None] * cand[..., None, :])
     return np.subtract(X, R, out=R)
+
+
+def _evaluate(X, src, s2, alpha, e=None, with_h=True):
+    """(e, W, h) at a point: its residuals e = src[0](X, *src[1:]) unless
+    e is given, W = weights(e, s2, alpha) and h = h_value(e, s2, alpha,
+    W), bit for bit; h is None unless with_h. src is (_fit_residuals,
+    lam, u, v) or (_residuals, vector, other, left).
+
+    An X of at most BLOCK_CELLS cells takes those calls as they stand
+    (src may then form a stack of residual matrices, whose h is an
+    array). A larger X is swept once, in row blocks: e and W are full
+    arrays, filled a block at a time (src[0] is given the rows to form
+    and the array to write them into), and h's cells exist one node of
+    NumPy's summation tree at a time (objective._tree_sum), each summed
+    while it is in cache. Nodes begin and end inside rows: a node's rows
+    are formed when the first node that reaches them is summed.
+    """
+    if X.size <= BLOCK_CELLS:
+        if e is None:
+            form, x, y, z = src
+            e = form(X, x, y, z)
+        W = weights(e, s2, alpha)
+        return e, W, h_value(e, s2, alpha, W) if with_h else None
+    p = X.shape[1]
+    if e is None:
+        e = np.empty_like(X)
+        form, x, y, z = src
+    else:
+        form = None
+    W = np.empty_like(X)
+    ef, Wf = e.reshape(-1), W.reshape(-1)
+    formed = 0          # rows of e and W formed so far
+
+    def fill(rows):
+        if form is not None:
+            form(X, x, y, z, rows, e[rows])
+        weights(e[rows], s2, alpha, W[rows])
+
+    if not with_h:
+        step = max(1, BLOCK_CELLS // p)
+        for i in range(0, X.shape[0], step):
+            fill(slice(i, i + step))
+        return e, W, None
+
+    def node(a, b):
+        nonlocal formed
+        stop = -(-b // p)   # the rows that cells a to b reach
+        if formed < stop:
+            fill(slice(formed, stop))
+            formed = stop
+        return np.add.reduce(_cells(ef[a:b], s2, alpha, Wf[a:b]))
+
+    return e, W, float(_tree_sum(X.size, node, BLOCK_CELLS) / X.size)
 
 
 def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
@@ -378,18 +481,24 @@ def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
     constraints, so the candidates are not projected again. e, W and h
     belong to cur.
 
-    The full step is tried alone, as one matrix: an unconstrained
-    regression step nearly always lowers h there. The stop test does not
-    depend on the tries, so the halvings after it are fixed next and
-    tried as stacks of k = sqrt(BATCH_CELLS / X.size) of them (at least
-    one): each stack is one residual array of shape (k, n, p), one
-    weights pass and one h_value call, and the first candidate below h
-    wins. The result is that of trying them one by one, bit for bit. A
-    pass costs a fixed interpreter overhead plus k X.size cells, some of
-    them past the winner, and the square root balances the two: a 10x4
-    study step tries 20 halvings per pass, a 100x20 one 2, and an X of
-    more than BATCH_CELLS / 4 cells one, as a loop would. A stack of
-    k > 1 stays below BATCH_CELLS cells (128 KiB).
+    Each try is one evaluation (_evaluate) of e, W and h. The full step
+    is tried alone, as one matrix: an unconstrained regression step
+    nearly always lowers h there. The stop test does not depend on the
+    tries, so the halvings after it are fixed next and tried as stacks
+    of k = sqrt(BATCH_CELLS / X.size) of them (at least one): each stack
+    is one residual array of shape (k, n, p), one weights pass and one
+    h_value call, and the first candidate below h wins. The result is
+    that of trying them one by one, bit for bit. A pass costs a fixed
+    interpreter overhead plus k X.size cells, some of them past the
+    winner, and the square root balances the two: a 10x4 study step
+    tries 20 halvings per pass, a 100x20 one 2, and an X of more than
+    BATCH_CELLS / 4 cells one, as a matrix, as the full step is tried.
+    A stack of k > 1 stays below BATCH_CELLS cells (128 KiB).
+
+    Arrays the size of X alive at once: e and W of cur, and e and W of
+    the candidate tried, whose cells of h exist one block at a time on
+    an X of more than BLOCK_CELLS cells; a rejected try's arrays are
+    freed before the next is formed.
 
     Returns (length, unit direction, h, residuals, weights, vector) at
     the point reached, vector being that point unnormalized: the
@@ -403,13 +512,11 @@ def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
                                "column")
     step = target - cur
     cand = cur + step
-    e_c = _residuals(X, cand, other, left)
-    W_c = weights(e_c, s2, alpha)
-    h_c = h_value(e_c, s2, alpha, W_c)
+    e_c, W_c, h_c = _evaluate(X, (_residuals, cand, other, left), s2, alpha)
     if h_c < h:
         cur, h, e, W = cand, h_c, e_c, W_c
     else:
-        e_c = W_c = None    # freed before the halvings' stacks are built
+        e_c = W_c = None    # freed before the halvings are tried
         # the try at 1/2**i follows only if no earlier halving met the
         # stop test; a NaN gain or h meets none
         stop = HALVINGS[1:] * gain <= STALL_RTOL * abs(h)
@@ -418,13 +525,19 @@ def _half_step(X, W, e, h, cur, other, s2, alpha, left, ortho):
         chunk = max(1, int(math.sqrt(BATCH_CELLS / X.size)))
         for lo in range(1, tries, chunk):
             cand = cur + HALVINGS[lo:min(lo + chunk, tries), None] * step
-            E = _residuals(X, cand, other, left)
-            W_c = weights(E, s2, alpha)
-            h_c = h_value(E, s2, alpha, W_c).tolist()
+            # one candidate is tried as a matrix, swept in blocks on a
+            # large X, and then viewed as a stack of one
+            E, W_c, h_c = _evaluate(X, (_residuals, cand if chunk > 1
+                                        else cand[0], other, left), s2, alpha)
+            if chunk == 1:
+                E, W_c, h_c = E[None], W_c[None], [h_c]
+            else:
+                h_c = h_c.tolist()
             i = next((i for i, h_i in enumerate(h_c) if h_i < h), None)
             if i is not None:
                 cur, h, e, W = cand[i], h_c[i], E[i], W_c[i]
                 break
+            E = W_c = None  # freed before the next try is formed
     lam = math.sqrt(cur.dot(cur))
     if lam <= 0:
         raise RankCollapse("rank collapse")
@@ -452,8 +565,7 @@ def _one_cycle(X, alpha, st, ortho_u, ortho_v, eps):
     if h < h_u:
         src = (_residuals, b, u, False)
     s2_c = _sigma_solve(e, s2, alpha, max(eps, SIG_CAP * s2), W)[0]
-    W_c = weights(e, s2_c, alpha)
-    h_c = h_value(e, s2_c, alpha, W_c)
+    _, W_c, h_c = _evaluate(X, None, s2_c, alpha, e)
     if h_c <= h:
         s2, h, W = s2_c, h_c, W_c
     return [lam, u, v, s2, h, e, W, src]
@@ -570,21 +682,26 @@ def _newton_polish(X, lam, u, v, s2, alpha, eps):
     damped when the system is indefinite, and only accepted when h does
     not increase, so the descent trace stays monotone.
 
+    Each trial h is one evaluation (_evaluate) at the residuals X -
+    np.outer(a, b), which _residuals(X, a, b, True) forms bit for bit.
+
     Working set: besides X, at most five arrays the size of X at once
     (in _polish_terms; the last step's M is freed before the next is
-    built), plus the two n x (p+2) blocks of the bordered solve. Measured
-    peak: 5.12 times X.nbytes on a 400x100 matrix, 5.05 on a 2000x200 one.
-    Inside a rank-1 fit the polish is the fit's peak, at 5.09 times
-    X.nbytes on the benchmark's 2000x200 draw; a deflated layer is not
-    polished, and the peak of a rank-3 fit, 6.14, lies in _solve's
-    iteration (README, tools/fit_memory.py).
+    built), plus the two n x (p+2) blocks of the bordered solve. A trial
+    h holds M and the trial's residuals and weights, its cells one block
+    at a time on a large X. Measured peak: 5.12 times X.nbytes on a
+    400x100 matrix, 5.05 on a 2000x200 one. Inside a rank-1 fit the
+    polish is the fit's peak, at 5.09 times X.nbytes on the benchmark's
+    2000x200 draw and 5.22 on the 400x100 one; a deflated layer is not
+    polished, and the peak of a rank-3 fit, 5.26, lies in a deflated
+    layer's iteration (README, tools/fit_memory.py).
     """
     n, p = X.shape
     a = lam * u
     b = v.copy()
     t = float(np.log(s2))
     t_floor = float(np.log(eps))
-    h = h_value(X - np.outer(a, b), np.exp(t), alpha)
+    h = _evaluate(X, (_residuals, a, b, True), np.exp(t), alpha)[2]
     tau = 0.0
     for _ in range(40):
         M = None            # the last step's M is freed before the next
@@ -600,7 +717,8 @@ def _newton_polish(X, lam, u, v, s2, alpha, eps):
                 an = a + d[:n]
                 bn = b + d[n:n + p]
                 tn = max(t + d[-1], t_floor)
-                hn = h_value(X - np.outer(an, bn), np.exp(tn), alpha)
+                hn = _evaluate(X, (_residuals, an, bn, True), np.exp(tn),
+                               alpha)[2]
                 if np.isfinite(hn) and hn <= h + 1e-14 * (1.0 + abs(h)):
                     break
             tau = max(10.0 * tau, 1e-8 * (1.0 + abs(htt)))
@@ -615,7 +733,8 @@ def _newton_polish(X, lam, u, v, s2, alpha, eps):
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
     if na <= 0 or nb <= 0 or not np.isfinite(na * nb):
-        return lam, u, v, s2, h_value(X - lam * np.outer(u, v), s2, alpha)
+        return lam, u, v, s2, _evaluate(X, (_fit_residuals, lam, u, v), s2,
+                                        alpha)[2]
     u_o, v_o = _flip_sign(a / na, b / nb)
     return na * nb, u_o, v_o, float(np.exp(t)), h
 
@@ -660,16 +779,19 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, budget=None):
     provided start left U'U or V'V entries of up to 0.98 off the
     diagonal.
 
-    Only the unconstrained fit from a "screened" start computes the spike
-    cap, SPIKE_FACTOR times the top singular value of X. When its lambda
-    passes the cap, the iterate is freed and the fit is a second solve
-    from "classical" on the budget of iterations left (max_iter by
-    default), whose result is returned with the iterations already spent
-    added and restarted set. A second solve with no iterations left
-    returns the classical start, unconverged. Over S1-S5 at alpha 0.1,
-    0.5 and 1 (200 replicates each) the restart fired on 16 of 4,200
-    first layers and on none of 12,600 deflated ones, so a deflated
-    layer takes no cap.
+    Only the unconstrained fit from a "screened" start has a spike cap,
+    SPIKE_FACTOR times the top singular value of X. As sigma_1 >= |X v|
+    for the start's unit v, the cap is at least SPIKE_FACTOR |X v| (less
+    1e-12 of it for rounding), and the cap's SVD is taken only once a
+    lambda passes that bound: the benchmark's 2000x200 fit takes none.
+    When a lambda passes the cap, the iterate is freed and the fit is a
+    second solve from "classical" on the budget of iterations left
+    (max_iter by default), whose result is returned with the iterations
+    already spent added and restarted set. A second solve with no
+    iterations left returns the classical start, unconverged. Over S1-S5
+    at alpha 0.1, 0.5 and 1 (200 replicates each) the restart fired on
+    16 of 4,200 first layers and on none of 12,600 deflated ones, so a
+    deflated layer takes no cap.
 
     The fit is Newton-polished to the exact stationary point of h if and
     only if it is unconstrained (ortho_u is None) and its iteration
@@ -695,8 +817,8 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, budget=None):
     cycle runs, and the cycle empties the list it is given, so a state's
     e and W are freed once its row half-step has replaced them. While an
     extrapolated state is cycled, the current state gives up its e and
-    W; if the extrapolation loses, e is formed again by src and W as
-    weights(e, s2, alpha), which are the arrays it carried, bit for bit.
+    W; if the extrapolation loses, e and W are formed again by one
+    evaluation of src, which gives the arrays it carried, bit for bit.
     That costs one residual pass and one weights pass per lost
     extrapolation. With the cell passes in place (objective.weights and
     _cells, _residuals), it took the peak of this iteration on the
@@ -704,6 +826,14 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, budget=None):
     the polish's 5.09, and that of a rank-3 fit, reached in a deflated
     layer's stabilization cycle with the running residual alive, from
     8.10 to 6.14 (tools/fit_memory.py).
+
+    Every point is evaluated by _evaluate (the start, an extrapolated
+    state, both half-steps, the scale check, a rebuild), so on a large X
+    the cells of h, and in the scale solve the weights, exist one block
+    at a time. That took the iteration's peak on the 2000x200 draw to
+    4.23 and the rank-3 fit's to 5.26, reached in a deflated layer as an
+    extrapolated state is evaluated: the running residual, the held e
+    and W, the new state's e and W and a block's temporaries.
     """
     alpha = opts.alpha
     tol = opts.tol
@@ -714,10 +844,9 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, budget=None):
     scale = np.sqrt(max(ms, 1e-300))
 
     def start(lam, u, v, s2):
-        e = _fit_residuals(X, lam, u, v)
-        W = weights(e, s2, alpha)
-        return [lam, u, v, s2, h_value(e, s2, alpha, W), e, W,
-                (_fit_residuals, lam, u, v)]
+        src = (_fit_residuals, lam, u, v)
+        e, W, h = _evaluate(X, src, s2, alpha)
+        return [lam, u, v, s2, h, e, W, src]
 
     def cycle(st):
         return _one_cycle(X, alpha, st, ortho_u, ortho_v, eps)
@@ -742,11 +871,14 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, budget=None):
 
     init = (opts.init if isinstance(opts.init, str) or ortho_u is None
             else "screened")
-    lam_cap = np.inf
-    if init == "screened" and ortho_u is None:
-        sig1 = np.linalg.svd(X, compute_uv=False)[0]
-        lam_cap = SPIKE_FACTOR * max(sig1, np.sqrt(eps))
     st = start(*_init(X, init, eps, opts.seed, ortho_u, ortho_v))
+    lam_cap, exact = np.inf, True
+    if init == "screened" and ortho_u is None:
+        # sigma_1 >= |X v| for the start's unit v: the cap is at least
+        # this, and its SVD is taken once a lambda passes it
+        lam_cap = SPIKE_FACTOR * max(
+            np.linalg.norm(X @ st[2]) * (1.0 - 1e-12), np.sqrt(eps))
+        exact = False
     trace = [st[4]]
     converged = False
     it = 0                  # a second solve may have no iterations left
@@ -771,11 +903,13 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, budget=None):
                     if acc is not None and acc[4] < st[4]:
                         st = acc
                     else:
-                        src = st[7]
-                        st[5] = src[0](X, *src[1:])
-                        st[6] = weights(st[5], st[3], alpha)
+                        st[5], st[6] = _evaluate(X, st[7], st[3], alpha,
+                                                 with_h=False)[:2]
                 acc = None
         lam, u, v, s2, h = st[:5]
+        if lam > lam_cap and not exact:
+            sig1 = np.linalg.svd(X, compute_uv=False)[0]
+            lam_cap, exact = SPIKE_FACTOR * max(sig1, np.sqrt(eps)), True
         if lam > lam_cap:
             # the screened basin blew past the data's top singular value
             st = None        # freed before the second solve
@@ -849,9 +983,10 @@ def update_sigma2(residuals, sigma2_prev, alpha, eps=1e-10):
     the fixpoint of that update, clamped to >= eps. Returns (sigma2,
     degenerate): when the denominator is not positive at sigma2_prev the
     update has no positive value, the previous value is carried forward
-    and degenerate is True. Raises NonFiniteInput if a residual is not
-    finite, and ValueError unless sigma2_prev is positive and eps finite
-    and positive.
+    and degenerate is True. The means are over all the residuals, of any
+    shape. Raises NonFiniteInput if a residual is not finite, and
+    ValueError unless sigma2_prev is positive and eps finite and
+    positive.
     """
     al = check_alpha(alpha)
     e = np.asarray(residuals, dtype=float)

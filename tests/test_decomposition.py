@@ -19,6 +19,7 @@ from dpdsvd import (
     sigma_floor,
     sorted_by_lambda,
 )
+from dpdsvd import decomposition, rank1
 from dpdsvd.objective import h_value
 from dpdsvd.rank1 import SPIKE_FACTOR
 from dpdsvd.sim import make_ground_truth, sample_noise
@@ -329,6 +330,52 @@ class TestWholeFrameOutliers:
         # 5 stuck pixels of 1200 barely move the classical fit (4.1e-3
         # against 2.2e-3 to 2.5e-3), so only the frames clear a tenth
         assert err < (0.1 if frames else 1.0) * err_classical
+
+
+class TestInPlaceDeflation:
+    """The running residual after layer 0 is an array of its own, updated
+    in place a block of rows at a time; X itself is never written."""
+
+    @staticmethod
+    def planted(n, p, seed):
+        rng = np.random.default_rng(seed)
+        X = (np.linalg.qr(rng.standard_normal((n, 3)))[0] * [60.0, 30.0, 15.0]
+             @ np.linalg.qr(rng.standard_normal((p, 3)))[0].T)
+        X += rng.standard_normal((n, p))
+        X[rng.random((n, p)) < 0.2] = 25.0
+        return X
+
+    @pytest.mark.parametrize("cells", [None, 256], ids=["default", "256"])
+    def test_x_is_not_written(self, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(rank1, "BLOCK_CELLS", cells)
+        X = self.planted(150, 40, 31)
+        kept = X.copy()
+        fit_svd(X, 3, SolverOptions(alpha=0.5))
+        assert X.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("cells", [None, 256], ids=["default", "256"])
+    def test_running_residual_is_the_plain_expression(self, monkeypatch,
+                                                      cells):
+        """Each layer is fitted on E - lam np.outer(u, v) of the layer
+        before, bit for bit, with rows in blocks of cells // p."""
+        if cells is not None:
+            monkeypatch.setattr(rank1, "BLOCK_CELLS", cells)
+        solve = decomposition._solve
+        seen = []
+
+        def recorded(E, *args):
+            seen.append(E.copy())
+            out = solve(E, *args)
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(decomposition, "_solve", recorded)
+        fit_svd(self.planted(150, 40, 32), 4, SolverOptions(alpha=0.5))
+        for k in range(3):
+            E, f, E_next = seen[2 * k], seen[2 * k + 1], seen[2 * k + 2]
+            want = E - f["lam"] * np.outer(f["u"], f["v"])
+            assert E_next.tobytes() == want.tobytes()
 
 
 class TestDriftingFirstLayer:

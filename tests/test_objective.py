@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from dpdsvd import ObjectiveValue, Rank1Fit, objective, psi, v_cell
-from dpdsvd.objective import _cells, _mean, check_alpha, h_value, weights
+from dpdsvd.objective import (_cells, _mean, _tree_sum, check_alpha, h_value,
+                               weights)
 
 
 def brute_force_h(X, lam, u, v, s2, alpha):
@@ -380,3 +381,58 @@ class TestInPlacePasses:
         want = plain_cells(X - 1.7 * np.outer(u, v), np.asarray(0.6), alpha)
         assert same_bits(got.per_cell, want)
         assert got.h == float(np.mean(want))
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_weights_into_out(self, alpha):
+        """weights given out writes the same bits there and returns it."""
+        e = residual_draw((10, 4), 1)
+        out = np.full((10, 4), np.nan)
+        got = weights(e, 0.7, alpha, out)
+        assert got is out
+        assert same_bits(out, plain_weights(e, 0.7, alpha))
+
+
+def node_sums(*arrays):
+    """A node(a, b) for _tree_sum: np.add.reduce of cells a to b of one
+    flat array, or an array of the sums of several."""
+    if len(arrays) == 1:
+        return lambda a, b: np.add.reduce(arrays[0][a:b])
+    return lambda a, b: np.array([np.add.reduce(x[a:b]) for x in arrays])
+
+
+class TestTreeSum:
+    """_tree_sum cut at nodes of at most cap cells equals np.add.reduce of
+    the whole array, bit for bit (NumPy's pairwise summation tree)."""
+
+    CAPS = (1, 128, 200, 1024, 16384)
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_every_small_size(self, cap):
+        rng = np.random.default_rng([20, cap])
+        for n in range(1, 301):
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+            assert same_bits(_tree_sum(n, node_sums(x), cap),
+                             np.add.reduce(x, axis=None))
+
+    def test_random_sizes_up_to_2m(self):
+        rng = np.random.default_rng(21)
+        sizes = np.concatenate([rng.integers(300, 40000, 12),
+                                rng.integers(40000, 2_000_000, 4)])
+        for n in sizes:
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+            want = np.add.reduce(x, axis=None)
+            for cap in (128, 1000, 16384, 32768):
+                assert same_bits(_tree_sum(int(n), node_sums(x), cap), want)
+
+    @pytest.mark.parametrize("shape", [(2000, 200), (333, 77), (61, 37),
+                                       (16, 1000)])
+    def test_matrices_cut_mid_row(self, shape):
+        """Nodes of a matrix's cells that begin and end inside rows, and
+        an array of two sums taken node by node."""
+        X = residual_draw(shape, 2)
+        Y = weights(X, 1e3, 0.5)
+        for cap in (128, 300, 16384):
+            got = _tree_sum(X.size, node_sums(X.reshape(-1), Y.reshape(-1)),
+                            cap)
+            assert same_bits(got, [np.add.reduce(X, axis=None),
+                                   np.add.reduce(Y, axis=None)])

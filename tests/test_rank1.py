@@ -215,9 +215,9 @@ class TestHalfStep:
         assert gain == pytest.approx(fd, rel=1e-7)
 
     def test_uphill_target_stalls_after_one_try(self, monkeypatch):
-        """A projected target along which h rises costs one weights pass,
-        and the half-step hands back the residuals, weights and h it was
-        given."""
+        """A projected target along which h rises costs one evaluation
+        (one weights pass), and the half-step hands back the residuals,
+        weights and h it was given."""
         X, cur, other, s2, ortho = half_step_problem(38, True)
         alpha = 3.0
         e = X - np.outer(cur, other)
@@ -225,13 +225,13 @@ class TestHalfStep:
         h = h_value(e, s2, alpha, W)
         assert rank1._target(X, W, cur, other, s2, alpha, ortho, "row")[1] < 0
         count = [0]
-        weights = rank1.weights
+        evaluate = rank1._evaluate
 
         def counted(*args):
             count[0] += 1
-            return weights(*args)
+            return evaluate(*args)
 
-        monkeypatch.setattr(rank1, "weights", counted)
+        monkeypatch.setattr(rank1, "_evaluate", counted)
         lam, u, h_out, e_out, W_out, reached = rank1._half_step(
             X, W, e, h, cur, other, s2, alpha, True, ortho)
         assert count[0] == 1
@@ -270,7 +270,8 @@ def half_step_one_by_one(X, W, e, h, cur, other, s2, alpha, left, ortho):
 class TestStackedSearch:
     """_half_step tries the full step alone, then the halvings as stacks
     of sqrt(BATCH_CELLS / X.size) candidates, and must give the result of
-    trying them one by one, bit for bit, in one weights pass per stack."""
+    trying them one by one, bit for bit, in one evaluation (_evaluate, one
+    weights pass) per stack."""
 
     half_step = staticmethod(rank1._half_step)
 
@@ -280,18 +281,20 @@ class TestStackedSearch:
         number of tries. A search that finds no decrease must evaluate
         exactly the candidates the loop tried."""
         passes, cells = [0], [0]
+        evaluate = rank1._evaluate
 
-        def counted(e, *args):
+        def counted(*args):
+            out = evaluate(*args)
             passes[0] += 1
-            cells[0] += e.size
-            return weights(e, *args)
+            cells[0] += out[0].size
+            return out
 
-        monkeypatch.setattr(rank1, "weights", counted)
+        monkeypatch.setattr(rank1, "_evaluate", counted)
         try:
             got = self.half_step(X, W, e, h, cur, other, s2, alpha, left,
                                  ortho)
         finally:
-            monkeypatch.setattr(rank1, "weights", weights)
+            monkeypatch.setattr(rank1, "_evaluate", evaluate)
         want, tries = half_step_one_by_one(X, W, e, h, cur, other, s2, alpha,
                                            left, ortho)
         lam, u, h_out, e_out, W_out, reached = got
@@ -393,10 +396,11 @@ class TestStackedSearch:
         assert tries == (40 if lower else 1)
 
     def test_large_x_makes_one_pass_per_try(self, monkeypatch):
-        """Above BATCH_CELLS cells each stack holds one candidate."""
+        """Above BATCH_CELLS cells each stack holds one candidate (above
+        BLOCK_CELLS, as here, a matrix swept in blocks)."""
         rng = np.random.default_rng(7)
         n, p = 400, 200
-        assert n * p > rank1.BATCH_CELLS
+        assert n * p > rank1.BLOCK_CELLS > rank1.BATCH_CELLS
         u, v = unit(rng, n), unit(rng, p)
         X = 60.0 * np.outer(u, v) + rng.standard_normal((n, p))
         cur, other = 50.0 * u + 0.01 * rng.standard_normal(n), v
@@ -621,16 +625,20 @@ class TestPolishTerms:
         assert peak <= 10 * X.nbytes
 
 
-def planted_400x100():
-    """The benchmark's planted rank-3 400x100 matrix, 20% of its cells set
-    to 25: the draw of test_fit_working_set."""
-    n, p = 400, 100
+def planted(n, p):
+    """The benchmark's planted rank-3 n x p matrix, 20% of its cells set
+    to 25."""
     rng = np.random.default_rng([0, n, p])
     U0 = np.linalg.qr(rng.standard_normal((n, 3)))[0]
     V0 = np.linalg.qr(rng.standard_normal((p, 3)))[0]
     E = rng.standard_normal((n, p))
     E[rng.random((n, p)) < 0.2] = 25.0
     return (U0 * (np.array([8.0, 4.0, 2.0]) * math.sqrt(n * p))) @ V0.T + E
+
+
+def planted_400x100():
+    """The planted 400x100 matrix: the draw of test_fit_working_set."""
+    return planted(400, 100)
 
 
 class TestWorkingSet:
@@ -679,6 +687,213 @@ class TestInPlaceResiduals:
             got = rank1._fit_residuals(X, lam, u, v)
             assert got.tobytes() == (X - lam * np.outer(u, v)).tobytes()
             assert got.tobytes() == (X - lam * (u[:, None] * v)).tobytes()
+
+
+def residual_sources(X, rng):
+    """Calls that form X's residuals, as _evaluate takes them: the start's
+    _fit_residuals and _residuals of a row and of a column vector."""
+    n, p = X.shape
+    u, v = unit(rng, n), unit(rng, p)
+    return [(rank1._fit_residuals, 3.7, u, v),
+            (rank1._residuals, 3.7 * u + 0.01 * rng.standard_normal(n), v,
+             True),
+            (rank1._residuals, v + 0.01 * rng.standard_normal(p), 3.7 * u,
+             False)]
+
+
+class TestEvaluate:
+    """_evaluate gives the residuals, weights and h of the plain calls,
+    bit for bit, as one block or swept in row blocks whose summation
+    nodes begin and end inside rows."""
+
+    @pytest.mark.parametrize("cells", [None, 128, 300, 1000],
+                             ids=["one-block", "128", "300", "1000"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_matches_plain_calls(self, monkeypatch, cells, alpha):
+        if cells is not None:
+            monkeypatch.setattr(rank1, "BLOCK_CELLS", cells)
+        rng = np.random.default_rng([26, cells or 0, int(4 * alpha)])
+        n, p = 61, 37
+        X = 3.7 * np.outer(unit(rng, n), unit(rng, p))
+        X += rng.standard_normal((n, p))
+        X[rng.random((n, p)) < 0.2] = 25.0
+        for src in residual_sources(X, rng):
+            e_want = src[0](X, *src[1:])
+            for s2 in (1e-300, 1e-8, 0.8, 1e8, 1e300):
+                W_want = weights(e_want, s2, alpha)
+                h_want = h_value(e_want, s2, alpha, W_want)
+                for given in (None, e_want):
+                    e, W, h = rank1._evaluate(X, src, s2, alpha, given)
+                    assert e.tobytes() == e_want.tobytes()
+                    assert W.tobytes() == W_want.tobytes()
+                    assert type(h) is float and h == h_want
+                e, W, h = rank1._evaluate(X, src, s2, alpha, with_h=False)
+                assert e.tobytes() == e_want.tobytes()
+                assert W.tobytes() == W_want.tobytes()
+                assert h is None
+
+    def test_stack_takes_the_plain_calls(self):
+        """A stack of candidates (an X of at most BLOCK_CELLS cells) gives
+        the stacked residuals, weights and h array of the plain calls."""
+        rng = np.random.default_rng(27)
+        X = rng.standard_normal((10, 4))
+        cand = rng.standard_normal((5, 10))
+        src = (rank1._residuals, cand, unit(rng, 4), True)
+        e, W, h = rank1._evaluate(X, src, 0.7, 0.5)
+        e_want = rank1._residuals(X, *src[1:])
+        assert e.tobytes() == e_want.tobytes()
+        assert W.tobytes() == weights(e_want, 0.7, 0.5).tobytes()
+        assert h.tobytes() == h_value(e_want, 0.7, 0.5, W).tobytes()
+
+    def test_polish_residual_is_the_row_form(self):
+        """The polish's X - np.outer(a, b) is _residuals(X, a, b, True)."""
+        rng = np.random.default_rng(28)
+        X = rng.standard_normal((30, 7)) * 10.0 ** rng.integers(-5, 5, (30, 7))
+        a, b = rng.standard_normal(30), rng.standard_normal(7)
+        assert (rank1._residuals(X, a, b, True).tobytes()
+                == (X - np.outer(a, b)).tobytes())
+
+
+def whole_array_scale_solve(e, s2, alpha, lo, W=None):
+    """_sigma_solve as it was before its blocked sweep: every iterate's
+    weights, e^2 w and C term as arrays the size of e."""
+    c_sig = alpha * (1.0 + alpha) ** -1.5
+    e2 = e * e
+    plain = None
+    r_prev = np.inf
+    for _ in range(200):
+        if W is None:
+            W = weights(e, s2, alpha)
+        den = np.add.reduce(W, axis=None) / W.size - c_sig
+        if den <= 0:
+            if plain is None:
+                return s2, True
+            s2, plain, W = plain, None, None
+            continue
+        e2w = e2 * W
+        W = None
+        B = np.add.reduce(e2w, axis=None) / e2w.size
+        T = B / den
+        if T < lo:
+            return lo, False
+        r = abs(T - s2)
+        if r <= 4e-15 * s2 or r_prev <= r <= 1e-8 * s2:
+            return T, False
+        r_prev = r
+        b = B / s2
+        e2w *= e2 / s2
+        c = np.add.reduce(e2w, axis=None) / e2w.size / s2
+        d = alpha * (c * den - b * b) / (2.0 * den * den)
+        if math.isfinite(d) and d < 1.0:
+            s2, plain = max(s2 + (T - s2) / (1.0 - d), lo), T
+        else:
+            s2, plain = T, None
+    return s2, False
+
+
+class TestBlockedScaleSolve:
+    """_sigma_solve sweeps a residual array of more than BLOCK_CELLS cells
+    in blocks and returns what the whole-array solve returns, bit for
+    bit."""
+
+    @pytest.mark.parametrize("cells", [None, 128, 1000],
+                             ids=["default", "128", "1000"])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "1-D"])
+    def test_matches_whole_array_solve(self, monkeypatch, cells, layout):
+        if cells is not None:
+            monkeypatch.setattr(rank1, "BLOCK_CELLS", cells)
+        rng = np.random.default_rng([29, cells or 0])
+        base = rng.standard_normal((122, 74))
+        base[rng.random(base.shape) < 0.2] = 25.0
+        e = {"C": base[:61, :37].copy(), "F": np.asfortranarray(base[:61, :37]),
+             "strided": base[::2, ::2], "1-D": base.reshape(-1)[:3001]}[layout]
+        for alpha in (0.1, 0.5, 1.0, 3.0):
+            for s2 in (1e-6, 0.8, 30.0, 1e6):
+                lo = 1e-10
+                want = whole_array_scale_solve(e, s2, alpha, lo)
+                assert rank1._sigma_solve(e, s2, alpha, lo) == want
+                assert update_sigma2(e, s2, alpha, lo) == want
+                W = weights(e, s2, alpha)
+                W_kept = W.copy()
+                assert (rank1._sigma_solve(e, s2, alpha, lo, W)
+                        == whole_array_scale_solve(e, s2, alpha, lo, W))
+                assert W.tobytes() == W_kept.tobytes()
+
+    def test_degenerate_denominator(self, monkeypatch):
+        """A blocked solve flags a start where den <= 0, as the whole-array
+        one does."""
+        monkeypatch.setattr(rank1, "BLOCK_CELLS", 128)
+        e = np.full((40, 20), 50.0)
+        e[0, 0] = 0.0
+        assert (rank1._sigma_solve(e, 1.0, 1.0, 1e-10)
+                == whole_array_scale_solve(e, 1.0, 1.0, 1e-10)
+                == (1.0, True))
+
+    @pytest.mark.parametrize("cells", [None, 16], ids=["default", "16"])
+    def test_underflowing_slope_denominator(self, monkeypatch, cells):
+        """A positive den whose square underflows to 0 gives no finite
+        slope T', so the iterate takes the plain step, as in the
+        whole-array solve, where the division gave inf or NaN."""
+        if cells is not None:
+            monkeypatch.setattr(rank1, "BLOCK_CELLS", cells)
+        alpha = 1e-290
+        e = np.full((10, 4), math.sqrt(560.0 * math.log(10.0) / alpha))
+        den = weights(e, 1.0, alpha)[0, 0] - alpha * (1.0 + alpha) ** -1.5
+        assert den > 0.0 and 2.0 * den * den == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = whole_array_scale_solve(e, 1.0, alpha, 1e-10)
+            assert rank1._sigma_solve(e, 1.0, alpha, 1e-10) == want
+
+    @pytest.mark.parametrize("cells", [None, 128], ids=["default", "128"])
+    @pytest.mark.parametrize("shape", [(), (7,), (1, 10, 4), (3, 61, 37)],
+                             ids=["0-d", "1-D", "3-D", "3-D-blocks"])
+    def test_any_shape(self, monkeypatch, cells, shape):
+        """update_sigma2 of residuals of any shape solves over all of
+        their cells (a 3-D array used to raise, its means taken per
+        matrix)."""
+        if cells is not None:
+            monkeypatch.setattr(rank1, "BLOCK_CELLS", cells)
+        e = np.random.default_rng(30).standard_normal(shape) * 2.0
+        for alpha in (0.5, 1.0):
+            got = update_sigma2(e, 1.3, alpha, 1e-10)
+            assert type(got[0]) is not np.ndarray
+            assert got == whole_array_scale_solve(e, 1.3, alpha, 1e-10)
+
+
+class TestSmallBlocks:
+    """Fits do not depend on BLOCK_CELLS or BATCH_CELLS: evaluations,
+    scale solves and the deflation swept in small blocks, and halvings
+    tried one at a time, give the default fits bit for bit."""
+
+    @staticmethod
+    def fits(X, rank, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            dec = fit_svd(X, rank, SolverOptions(alpha=alpha))
+        return [(d.lambda_, d.u.tobytes(), d.v.tobytes(), d.sigma2,
+                 d.trace.tobytes(), d.iterations, d.converged)
+                for d in dec.diagnostics]
+
+    def test_study_fits(self, monkeypatch):
+        """Rank-4 fits of S2c study replicates, 10x4 cells in blocks of
+        16 cells, swept as one summation node, with single halvings (a
+        stack of one, as BATCH_CELLS is 16 too)."""
+        draws = [make_ground_truth().X0
+                 + sample_noise("S2c", np.random.default_rng([1, r]))[0]
+                 for r in range(2)]
+        want = [self.fits(X, 4, a) for X in draws for a in (0.5, 1.0)]
+        monkeypatch.setattr(rank1, "BLOCK_CELLS", 16)
+        monkeypatch.setattr(rank1, "BATCH_CELLS", 16)
+        assert [self.fits(X, 4, a) for X in draws for a in (0.5, 1.0)] == want
+
+    def test_planted_fit(self, monkeypatch):
+        """A rank-3 fit of a 150x40 planted draw, its 6000 cells in nodes
+        of at most 256 cells that begin and end inside rows."""
+        X = planted(150, 40)
+        want = self.fits(X, 3, 0.5)
+        monkeypatch.setattr(rank1, "BLOCK_CELLS", 256)
+        assert self.fits(X, 3, 0.5) == want
 
 
 class TestHeldStateRebuild:
@@ -1202,37 +1417,69 @@ class TestSolveSetup:
     def test_spike_cap_svd_only_for_a_screened_start(self, monkeypatch,
                                                      init, caps):
         """The spike cap's singular values (compute_uv=False) are taken
-        only when the start is "screened", the one policy that restarts."""
-        X = rank1_matrix()[0] + 0.1 * np.random.default_rng(4).standard_normal(
-            (8, 5))
-        svd = np.linalg.svd
-        calls = []
-
-        def recorded(*args, **kwargs):
-            calls.append(kwargs.get("compute_uv", True))
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recorded)
-        rank1._solve(X, SolverOptions(alpha=0.5, init=init, seed=1))
+        only when the start is "screened", the one policy that restarts:
+        on the draw of test_spike_restart the screened lambda passes the
+        cap, and the fit restarts from a "classical" start, whose SVD
+        follows the screened start's."""
+        X = spike_draw()
+        calls = recorded_svds(monkeypatch)
+        out = rank1._solve(X, SolverOptions(alpha=0.5, init=init, seed=1))
+        assert out["restarted"] == (caps == 1)
         assert calls.count(False) == caps
-        assert calls.count(True) == (0 if init == "random" else 1)
+        assert calls.count(True) == (0 if init == "random" else 1 + caps)
 
     def test_spike_cap_svd_only_for_the_free_layer(self, monkeypatch):
         """A rank-3 fit from a screened start takes the spike cap's
-        singular values once, for layer 0: deflated layers never restart,
-        so they take no cap (one per layer took 3)."""
-        X = rank1_matrix()[0] + 0.1 * np.random.default_rng(4).standard_normal(
-            (8, 5))
-        svd = np.linalg.svd
-        calls = []
-
-        def recorded(*args, **kwargs):
-            calls.append(kwargs.get("compute_uv", True))
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recorded)
+        singular values at most once, for layer 0: deflated layers never
+        restart, so they take no cap (one per layer took 3). Layer 0 of
+        the draw of test_spike_restart passes the cap."""
+        X = spike_draw()
+        calls = recorded_svds(monkeypatch)
         fit_svd(X, 3, SolverOptions(alpha=0.5))
         assert calls.count(False) == 1
+
+    def test_spike_cap_svd_only_when_lambda_passes_its_bound(self,
+                                                             monkeypatch):
+        """The cap is at least SPIKE_FACTOR |X v| for the start's unit v,
+        so its singular values are taken only once a lambda passes that:
+        the rank-3 fit of the benchmark's 2000x200 planted draw, and a
+        small one, take none, and restart nowhere."""
+        calls = recorded_svds(monkeypatch)
+        small = rank1_matrix()[0] + 0.1 * np.random.default_rng(
+            4).standard_normal((8, 5))
+        for X, rank in ((small, 1), (planted(2000, 200), 3)):
+            calls.clear()
+            dec = fit_svd(X, rank, SolverOptions(alpha=0.5))
+            assert calls.count(False) == 0
+            assert calls.count(True) == rank
+            assert dec.lambdas[0] <= rank1.SPIKE_FACTOR * np.linalg.svd(
+                X, compute_uv=False)[0]
+
+
+def spike_draw():
+    """Criterion 2's draw [11, 0, 58], whose screened basin's lambda
+    passes SPIKE_FACTOR sigma_1 (test_spike_restart)."""
+    rng = np.random.default_rng([11, 0, 58])
+    uu = rng.standard_normal(10)
+    vv = rng.standard_normal(4)
+    lam0 = rng.uniform(8.0, 15.0)
+    E = rng.standard_normal((10, 4))
+    return lam0 * np.outer(uu / np.linalg.norm(uu),
+                           vv / np.linalg.norm(vv)) + E
+
+
+def recorded_svds(monkeypatch):
+    """Record the compute_uv flag of every np.linalg.svd call that
+    follows; returns the list the flags go to."""
+    svd = np.linalg.svd
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return calls
 
 
 class TestComplexInput:
