@@ -62,18 +62,20 @@ def _classical_layers(E, eps_sigma):
     At alpha = 0 h is the Gaussian log-likelihood, so layer k is the k-th
     singular triple of one SVD of X, with the sign convention. Its sigma2
     is the mean square of the running residual E after the layer, floored
-    at sigma_floor of the residual before it; it reports 0 iterations,
-    converged, and a one-entry trace, h at the fit. Raises RankCollapse
-    at a zero singular value.
+    at sigma_floor of the residual before it, whose mean square the layer
+    before took; it reports 0 iterations, converged, and a one-entry
+    trace, h at the fit. Raises RankCollapse at a zero singular value.
     """
     U, s, Vt = np.linalg.svd(E, full_matrices=False)
+    ms = None       # mean E^2 of the running residual, once taken
     for k in range(s.size):
         if s[k] == 0.0:
             raise RankCollapse("rank collapse")
         u, v = _flip_sign(U[:, k].copy(), Vt[k].copy())
-        eps = sigma_floor(E, eps_sigma)
-        E = E - s[k] * np.outer(u, v)
-        s2 = max(float(np.mean(E * E)), eps)
+        eps = sigma_floor(E, eps_sigma, ms)
+        E = _fit_residuals(E, s[k], u, v)
+        ms = float(np.mean(E * E))
+        s2 = max(ms, eps)
         yield dict(lam=float(s[k]), u=u, v=v, s2=s2, it=0, conv=True,
                    trace=np.array([h_value(E, s2, 0.0)]))
 

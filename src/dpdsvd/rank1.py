@@ -61,6 +61,7 @@ STALL_RTOL = 4e-16     # halve only while the predicted drop of h > this * |h|
 HALVINGS = 0.5 ** np.arange(40.0)   # the step lengths a half-step may try
 BATCH_CELLS = 1 << 14  # sizes a half-step's stacks of halvings (_half_step)
 BLOCK_CELLS = 1 << 16  # sizes the blocks of a sweep over X's cells (_evaluate)
+POLISH_CELLS = 1 << 12  # sizes the polish's blocks of rows (_polish_terms)
 INIT_POLICIES = ("screened", "classical", "random")
 
 
@@ -581,9 +582,20 @@ def _polish_terms(X, a, b, t, alpha):
     derivatives are P = dV/de, Q = d2V/de2 and S = d2V/de dt = P (q -
     alpha/2 - 1). The t entries need no cell array of their own: dV/dt =
     -(alpha/2) V - P e/2 and d2V/dt2 = -(alpha/2) dV/dt - S e/2, so gt and
-    htt are sums of w, P e and S e. Each cell array is built in place, so
-    at most five arrays the size of X are alive at once besides X (M, the
-    only one returned, is formed in the buffer of Q).
+    htt are sums of w, P e and S e.
+
+    Besides X, at most four arrays the size of X are alive at once: e, q,
+    w and P. Each cell array is built in place over one of them (Q over
+    w, S over q and M over Q); a product of two of them is formed over
+    rows of POLISH_CELLS cells, its second factor one block at a time,
+    and every sum and matrix product runs on the whole arrays. Each cell
+    takes the operations of the whole-array expressions, a product's
+    factors at most swapped, which rounds alike, so the outputs do not
+    depend on the block size. A block's temporary counts in the peak:
+    run alone from a start, the polish (_newton_polish) peaked at 4.21
+    times X.nbytes on a 400x100 matrix with blocks of 4,096 cells, 4.31
+    with 8,192, 4.52 with BATCH_CELLS' 16,384 and 5.11 with the whole
+    matrix as one block.
     """
     n, p = X.shape
     N = n * p
@@ -591,6 +603,8 @@ def _polish_terms(X, a, b, t, alpha):
     c1 = (1.0 + alpha) ** -0.5
     c2 = 1.0 + 1.0 / alpha
     pre = np.exp(-alpha * t / 2.0)
+    step = max(1, POLISH_CELLS // p)
+    blocks = [slice(i, i + step) for i in range(0, n, step)]
     # e = X - a b', q = alpha e e / (2 s2), w = exp(-q)
     e = np.outer(a, b)
     np.subtract(X, e, out=e)
@@ -600,14 +614,27 @@ def _polish_terms(X, a, b, t, alpha):
     w = np.negative(q)
     np.exp(w, out=w)
     sum_v = pre * c1 * N - pre * c2 * float(np.sum(w))
-    # P = pre c2 w (alpha e / s2)
-    P = np.multiply(e, alpha)
-    P /= s2
-    P *= np.multiply(w, pre * c2)
+    # P = (w pre c2) (alpha e / s2)
+    P = np.multiply(w, pre * c2)
+    for r in blocks:
+        f = np.multiply(e[r], alpha)
+        f /= s2
+        P[r] *= f
+        del f           # freed before the next block's is formed
     ga = -(P @ b) / N
     gb = -(P.T @ a) / N
-    # S = P (q - alpha / 2 - 1)
-    S = np.add(q, -alpha / 2.0 - 1.0)
+    # Q = (w pre c2 (alpha / s2)) (1 - 2 q), over w (2 q is alpha e e /
+    # s2: doubling is exact)
+    Q = w
+    Q *= pre * c2 * (alpha / s2)
+    for r in blocks:
+        f = np.multiply(q[r], -2.0)
+        f += 1.0
+        Q[r] *= f
+        del f
+    # S = P (q - alpha / 2 - 1), over q
+    S = q
+    S += -alpha / 2.0 - 1.0
     S *= P
     wa = -(S @ b) / N
     wb = -(S.T @ a) / N
@@ -617,32 +644,37 @@ def _polish_terms(X, a, b, t, alpha):
     gt = (-(alpha / 2.0) * sum_v - float(np.sum(e)) / 2.0) / N
     htt = -(alpha / 2.0) * gt - float(np.sum(S)) / (2.0 * N)
     del S, e
-    # Q = pre c2 (alpha / s2) w (1 - 2 q), over w (2 q is alpha e e / s2:
-    # doubling is exact)
-    q *= -2.0
-    q += 1.0
-    Q = w
-    Q *= pre * c2 * (alpha / s2)
-    Q *= q
-    del q, w
     Da = (Q @ (b * b)) / N
     Db = (Q.T @ (a * a)) / N
     # M = (Q a b' - P) / N, over Q
     M = Q
-    M *= np.outer(a, b)
+    for r in blocks:
+        M[r] *= np.outer(a[r], b)
     M -= P
     M /= N
     return ga, gb, gt, Da, Db, M, wa, wb, htt
 
 
-def _solve_bordered(Da, Db, M, wa, wb, htt, a, b, g, tau):
+def _border(M, wa, a, b):
+    """The a-rows of the bordered system right of its diagonal block,
+    C = [M, wa, z_a], and z_b, with z = (a, -b, 0) / |z| the scaling
+    gauge, the direction along which h does not change. C does not
+    depend on the damping, so a Newton step forms it once for its tries.
+    """
+    n = a.shape[0]
+    z = np.concatenate([a, -b, [0.0]])
+    z /= np.linalg.norm(z)
+    return np.concatenate([M, wa[:, None], z[:n, None]], axis=1), z[n:-1]
+
+
+def _solve_bordered(Da, Db, C, zb, wb, htt, g, tau):
     """Newton step of the bordered system; None when the step must be damped.
 
-    The Hessian has diagonal a-a and b-b blocks, dense a-b coupling and a
-    scale border. Its one Lagrange border is the scaling gauge
-    z = (a, -b, 0) / |z|, the direction along which h does not change,
-    built here from a and b; its row's right-hand side is zero. g is the
-    gradient in (a, b, t).
+    The Hessian has diagonal a-a and b-b blocks, dense a-b coupling M and
+    a scale border with columns wa and wb. Its one Lagrange border is the
+    scaling gauge z; its row's right-hand side is zero. C and zb are
+    _border's: M, wa and z's a-part side by side, and z's b-part. g is
+    the gradient in (a, b, t).
     The diagonal a-block is eliminated (Schur complement), O(n p^2) instead
     of O((n+p)^3); it must be positive, so a non-positive entry of Da + tau
     returns None, as does a singular complement.
@@ -652,16 +684,13 @@ def _solve_bordered(Da, Db, M, wa, wb, htt, a, b, g, tau):
     D = Da + tau
     if np.min(D) <= 1e-300:
         return None
-    z = np.concatenate([a, -b, [0.0]])
-    z /= np.linalg.norm(z)
-    C = np.concatenate([M, wa[:, None], z[:n, None]], axis=1)
     E = np.zeros((p + 2, p + 2))
     E[:p, :p] = np.diag(Db + tau)
     E[:p, p] = wb
     E[p, :p] = wb
     E[p, p] = htt + tau
-    E[:p, p + 1] = z[n:n + p]
-    E[p + 1, :p] = z[n:n + p]
+    E[:p, p + 1] = zb
+    E[p + 1, :p] = zb
     r1 = -g[:n]
     r2 = np.concatenate([-g[n:], [0.0]])
     CD = C / D[:, None]
@@ -685,16 +714,19 @@ def _newton_polish(X, lam, u, v, s2, alpha, eps):
     Each trial h is one evaluation (_evaluate) at the residuals X -
     np.outer(a, b), which _residuals(X, a, b, True) forms bit for bit.
 
-    Working set: besides X, at most five arrays the size of X at once
-    (in _polish_terms; the last step's M is freed before the next is
-    built), plus the two n x (p+2) blocks of the bordered solve. A trial
-    h holds M and the trial's residuals and weights, its cells one block
-    at a time on a large X. Measured peak: 5.12 times X.nbytes on a
-    400x100 matrix, 5.05 on a 2000x200 one. Inside a rank-1 fit the
-    polish is the fit's peak, at 5.09 times X.nbytes on the benchmark's
-    2000x200 draw and 5.22 on the 400x100 one; a deflated layer is not
-    polished, and the peak of a rank-3 fit, 5.26, lies in a deflated
-    layer's iteration (README, tools/fit_memory.py).
+    Working set: besides X, at most four arrays the size of X at once,
+    in _polish_terms. A Newton step then forms the n x (p+2) block C of
+    the bordered system once (_border) and frees M, so each try holds C
+    and the solve's C / D, and a trial h holds C and the trial's
+    residuals and weights, its cells one block at a time on a large X;
+    the last step's C is freed before the next step's terms. Measured
+    peak: 4.21 times X.nbytes on a 400x100 matrix and 4.06 on a 2000x200
+    one, against 5.12 and 5.05 with five arrays in the terms and C
+    formed by every try while M lived. In the benchmark's 2000x200 fits
+    the five-array polish raised the process's resident high-water by
+    1.6-2.0 MB after the init's SVD had set it; the four-array one raises it
+    by nothing (tools/fit_memory.py, rise_mb). Inside a fit the iteration
+    is now the peak (_solve).
     """
     n, p = X.shape
     a = lam * u
@@ -704,15 +736,17 @@ def _newton_polish(X, lam, u, v, s2, alpha, eps):
     h = _evaluate(X, (_residuals, a, b, True), np.exp(t), alpha)[2]
     tau = 0.0
     for _ in range(40):
-        M = None            # the last step's M is freed before the next
+        C = None            # the last step's C is freed before the next
         ga, gb, gt, Da, Db, M, wa, wb, htt = _polish_terms(X, a, b, t,
                                                            alpha)
+        C, zb = _border(M, wa, a, b)
+        M = None            # C holds it
         g = np.concatenate([ga, gb, [gt]])
         cap = 1e-3 * (1.0 + max(np.max(np.abs(a)), np.max(np.abs(b)), abs(t)))
         for _try in range(12):
             # a try that does not solve, leaves the trust cap (a NaN step
             # fails the comparison) or raises h is damped
-            d = _solve_bordered(Da, Db, M, wa, wb, htt, a, b, g, tau)
+            d = _solve_bordered(Da, Db, C, zb, wb, htt, g, tau)
             if d is not None and np.max(np.abs(d)) <= cap:
                 an = a + d[:n]
                 bn = b + d[n:n + p]
@@ -822,10 +856,10 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, budget=None):
     That costs one residual pass and one weights pass per lost
     extrapolation. With the cell passes in place (objective.weights and
     _cells, _residuals), it took the peak of this iteration on the
-    benchmark's 2000x200 draw from 7.07 to 5.07 times X.nbytes, below
-    the polish's 5.09, and that of a rank-3 fit, reached in a deflated
-    layer's stabilization cycle with the running residual alive, from
-    8.10 to 6.14 (tools/fit_memory.py).
+    benchmark's 2000x200 draw from 7.07 to 5.07 times X.nbytes, and that
+    of a rank-3 fit, reached in a deflated layer's stabilization cycle
+    with the running residual alive, from 8.10 to 6.14
+    (tools/fit_memory.py).
 
     Every point is evaluated by _evaluate (the start, an extrapolated
     state, both half-steps, the scale check, a rebuild), so on a large X
@@ -833,7 +867,9 @@ def _solve(X, opts, ortho_u=None, ortho_v=None, budget=None):
     at a time. That took the iteration's peak on the 2000x200 draw to
     4.23 and the rank-3 fit's to 5.26, reached in a deflated layer as an
     extrapolated state is evaluated: the running residual, the held e
-    and W, the new state's e and W and a block's temporaries.
+    and W, the new state's e and W and a block's temporaries. Both are
+    the fits' peaks, above the polish's 4.10 (_newton_polish); on the
+    400x100 draw the rank-1 peak, 5.19, is a half-step's.
     """
     alpha = opts.alpha
     tol = opts.tol

@@ -31,7 +31,7 @@ from dpdsvd import (
 )
 from dpdsvd import rank1
 from dpdsvd.objective import h_value, weights
-from dpdsvd.rank1 import _solve_bordered
+from dpdsvd.rank1 import _border, _solve_bordered
 from dpdsvd.sim import make_ground_truth, sample_noise
 
 
@@ -580,8 +580,9 @@ class TestPolishTerms:
 
     def test_polish_working_set(self):
         """The polish of a 400x100 fit allocates at most 8 times X.nbytes
-        at its peak (5.6 measured; computing every cell derivative at
-        once took 17)."""
+        at its peak (4.2 measured with four arrays the size of X in the
+        terms, 5.1 with five; computing every cell derivative at once
+        took 17)."""
         rng = np.random.default_rng(12)
         n, p = 400, 100
         X = 10.0 * np.outer(rng.standard_normal(n), rng.standard_normal(p))
@@ -659,6 +660,174 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak <= bound * X.nbytes
+
+
+def five_array_polish_terms(X, a, b, t, alpha):
+    """_polish_terms as it was with five arrays the size of X alive at
+    once: every cell array whole, S a new array and M formed last."""
+    n, p = X.shape
+    N = n * p
+    s2 = np.exp(t)
+    c1 = (1.0 + alpha) ** -0.5
+    c2 = 1.0 + 1.0 / alpha
+    pre = np.exp(-alpha * t / 2.0)
+    e = np.outer(a, b)
+    np.subtract(X, e, out=e)
+    q = np.multiply(e, alpha)
+    q *= e
+    q /= 2.0 * s2
+    w = np.negative(q)
+    np.exp(w, out=w)
+    sum_v = pre * c1 * N - pre * c2 * float(np.sum(w))
+    P = np.multiply(e, alpha)
+    P /= s2
+    P *= np.multiply(w, pre * c2)
+    ga = -(P @ b) / N
+    gb = -(P.T @ a) / N
+    S = np.add(q, -alpha / 2.0 - 1.0)
+    S *= P
+    wa = -(S @ b) / N
+    wb = -(S.T @ a) / N
+    S *= e
+    e *= P
+    gt = (-(alpha / 2.0) * sum_v - float(np.sum(e)) / 2.0) / N
+    htt = -(alpha / 2.0) * gt - float(np.sum(S)) / (2.0 * N)
+    q *= -2.0
+    q += 1.0
+    Q = w
+    Q *= pre * c2 * (alpha / s2)
+    Q *= q
+    Da = (Q @ (b * b)) / N
+    Db = (Q.T @ (a * a)) / N
+    M = Q
+    M *= np.outer(a, b)
+    M -= P
+    M /= N
+    return ga, gb, gt, Da, Db, M, wa, wb, htt
+
+
+def bordered_solve_from_M(Da, Db, M, wa, wb, htt, a, b, g, tau):
+    """_solve_bordered as it was when every try formed C from M."""
+    n, p = Da.shape[0], Db.shape[0]
+    D = Da + tau
+    if np.min(D) <= 1e-300:
+        return None
+    z = np.concatenate([a, -b, [0.0]])
+    z /= np.linalg.norm(z)
+    C = np.concatenate([M, wa[:, None], z[:n, None]], axis=1)
+    E = np.zeros((p + 2, p + 2))
+    E[:p, :p] = np.diag(Db + tau)
+    E[:p, p] = wb
+    E[p, :p] = wb
+    E[p, p] = htt + tau
+    E[:p, p + 1] = z[n:n + p]
+    E[p + 1, :p] = z[n:n + p]
+    r1 = -g[:n]
+    r2 = np.concatenate([-g[n:], [0.0]])
+    CD = C / D[:, None]
+    try:
+        y = np.linalg.solve(E - C.T @ CD, r2 - CD.T @ r1)
+    except np.linalg.LinAlgError:
+        return None
+    return np.concatenate([(r1 - C @ y) / D, y[:p + 1]])
+
+
+def five_array_polish(X, lam, u, v, s2, alpha, eps):
+    """_newton_polish as it was with five_array_polish_terms and
+    bordered_solve_from_M."""
+    n, p = X.shape
+    a, b = lam * u, v.copy()
+    t, t_floor = float(np.log(s2)), float(np.log(eps))
+    h = rank1._evaluate(X, (rank1._residuals, a, b, True), np.exp(t),
+                        alpha)[2]
+    tau = 0.0
+    for _ in range(40):
+        ga, gb, gt, Da, Db, M, wa, wb, htt = five_array_polish_terms(
+            X, a, b, t, alpha)
+        g = np.concatenate([ga, gb, [gt]])
+        cap = 1e-3 * (1.0 + max(np.max(np.abs(a)), np.max(np.abs(b)), abs(t)))
+        for _try in range(12):
+            d = bordered_solve_from_M(Da, Db, M, wa, wb, htt, a, b, g, tau)
+            if d is not None and np.max(np.abs(d)) <= cap:
+                an, bn = a + d[:n], b + d[n:n + p]
+                tn = max(t + d[-1], t_floor)
+                hn = rank1._evaluate(X, (rank1._residuals, an, bn, True),
+                                     np.exp(tn), alpha)[2]
+                if np.isfinite(hn) and hn <= h + 1e-14 * (1.0 + abs(h)):
+                    break
+            tau = max(10.0 * tau, 1e-8 * (1.0 + abs(htt)))
+        else:
+            break
+        step = max(np.max(np.abs(an - a)) / (1.0 + np.max(np.abs(a))),
+                   np.max(np.abs(bn - b)), abs(tn - t))
+        a, b, t, h = an, bn, tn, hn
+        tau = tau / 4.0 if tau > 1e-300 else 0.0
+        if step < 1e-15:
+            break
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na <= 0 or nb <= 0 or not np.isfinite(na * nb):
+        return lam, u, v, s2, rank1._evaluate(
+            X, (rank1._fit_residuals, lam, u, v), s2, alpha)[2]
+    u_o, v_o = rank1._flip_sign(a / na, b / nb)
+    return na * nb, u_o, v_o, float(np.exp(t)), h
+
+
+def polish_start(shape, scale):
+    """(X, lam, u, v, s2, eps): the planted draw of shape times scale and
+    its screened start."""
+    X = planted(*shape) * scale
+    eps = sigma_floor(X)
+    return (X, *rank1._init(X, "screened", eps), eps)
+
+
+def as_bytes(values):
+    return [np.asarray(x).tobytes() for x in values]
+
+
+class TestFourArrayPolish:
+    """The polish holds at most four arrays the size of X, its products of
+    two of them formed over row blocks, and the bordered block once per
+    Newton step, and gives the five-array polish's outputs bit for bit.
+    333x77 splits into blocks of 53 rows and a last one of 15."""
+
+    SHAPES = [(10, 4), (400, 100), (2000, 200), (333, 77)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "%dx%d" % s)
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_terms(self, shape, scale):
+        X, lam, u, v, s2, _ = polish_start(shape, scale)
+        for alpha in (0.5, 1.0, 2.0):
+            args = (X, lam * u, v, float(np.log(s2)), alpha)
+            assert (as_bytes(rank1._polish_terms(*args))
+                    == as_bytes(five_array_polish_terms(*args)))
+
+    @pytest.mark.parametrize("shape", [(10, 4), (400, 100), (333, 77)],
+                             ids=lambda s: "%dx%d" % s)
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_polish(self, shape, scale):
+        X, lam, u, v, s2, eps = polish_start(shape, scale)
+        for alpha in (0.5, 2.0):
+            assert (as_bytes(rank1._newton_polish(X, lam, u, v, s2, alpha,
+                                                  eps))
+                    == as_bytes(five_array_polish(X, lam, u, v, s2, alpha,
+                                                  eps)))
+
+    @pytest.mark.parametrize("shape", [(400, 100), (2000, 200)],
+                             ids=lambda s: "%dx%d" % s)
+    def test_working_set(self, shape):
+        """The polish run alone from a start allocates at most 4.5 times
+        X.nbytes at its peak. Measured: 4.21 and 4.06; 5.12 and 5.05 with
+        five arrays in the terms and the bordered block formed by every
+        try. A small fit runs first, as in test_fit_working_set."""
+        X, lam, u, v, s2, eps = polish_start(shape, 1.0)
+        fit_rank1(X[:10, :4], SolverOptions(alpha=0.5))
+        tracemalloc.start()
+        try:
+            rank1._newton_polish(X, lam, u, v, s2, 0.5, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * X.nbytes
 
 
 class TestInPlaceResiduals:
@@ -1689,7 +1858,8 @@ class TestBorderedSolve:
         dim = n + p + 1
         tau = 1e-3
 
-        got = _solve_bordered(Da, Db, M, wa, wb, htt, a, b, g, tau)
+        got = _solve_bordered(Da, Db, *_border(M, wa, a, b), wb, htt, g,
+                              tau)
 
         z = np.concatenate([a, -b, [0.0]])
         H = np.zeros((dim + 1, dim + 1))
@@ -1712,9 +1882,12 @@ class TestBorderedSolve:
         # positive; the polish then raises tau until it is
         Da, Db, M, wa, wb, htt, a, b, g = bordered_system(33, 10, 4)
         Da[3] = -0.5
-        assert _solve_bordered(Da, Db, M, wa, wb, htt, a, b, g, 0.0) is None
-        assert _solve_bordered(Da, Db, M, wa, wb, htt, a, b, g, 0.1) is None
-        step = _solve_bordered(Da, Db, M, wa, wb, htt, a, b, g, 1.0)
+        assert _solve_bordered(Da, Db, *_border(M, wa, a, b), wb, htt, g,
+                               0.0) is None
+        assert _solve_bordered(Da, Db, *_border(M, wa, a, b), wb, htt, g,
+                               0.1) is None
+        step = _solve_bordered(Da, Db, *_border(M, wa, a, b), wb, htt, g,
+                               1.0)
         assert step is not None and np.all(np.isfinite(step))
 
 
